@@ -11,52 +11,59 @@ whose left neighbor is at least as large.
 Both maps preserve the multiset of entries in every column, hence the
 weight.  Each asserts the validity of its output, so a falsifying input
 raises :class:`~ctrect.tableaux.InvariantViolationError` instead of passing
-silently.
+silently.  The public maps validate their input; the kernels ``_rho`` and
+``_rho_inv`` trust it and check only their output.
 """
 
 from __future__ import annotations
 
-from .tableaux import Filling, InvariantViolationError, validate, violations
+from .tableaux import Filling, InvariantViolationError, check_invariant, validate
 
 
 def rho(u: Filling) -> Filling:
     """Map a valid composition tableau to its reverse SSYT."""
-    u = validate("ct", u)
-    cols: list[list[int]] = []
-    for c in range(1, u.width + 1):
-        entries = u.column(c)
-        if len(set(entries)) != len(entries):
-            raise InvariantViolationError(
-                f"column {c} holds duplicate entries; unreachable from a valid composition tableau"
-            )
-        cols.append(sorted(entries, reverse=True))
-    height = len(cols[0]) if cols else 0
-    rows = [[col[r] for col in cols if len(col) > r] for r in range(height)]
-    t = Filling(rows)
-    vs = violations("rssyt", t)
-    if vs:
-        raise InvariantViolationError(f"column sort did not produce a reverse SSYT: {vs[0]}")
-    return t
+    return _rho(validate("ct", u))
 
 
 def rho_inv(t: Filling) -> Filling:
     """Map a valid reverse SSYT back to its composition tableau."""
-    t = validate("rssyt", t)
-    if t.n_rows == 0:
+    return _rho_inv(validate("rssyt", t))
+
+
+def _rho(u: Filling) -> Filling:
+    # u must be a valid composition tableau.
+    rows = u.rows
+    cols: list[list[int]] = []
+    for c in range(max(map(len, rows), default=0)):
+        entries = [row[c] for row in rows if len(row) > c]
+        if len(set(entries)) != len(entries):
+            raise InvariantViolationError(
+                f"column {c + 1} holds duplicate entries; unreachable from a valid composition tableau"
+            )
+        entries.sort(reverse=True)
+        cols.append(entries)
+    height = len(cols[0]) if cols else 0
+    out = [[col[r] for col in cols if len(col) > r] for r in range(height)]
+    return check_invariant("rssyt", Filling._trusted(out), "column sort did not produce a reverse SSYT")
+
+
+def _rho_inv(t: Filling) -> Filling:
+    # t must be a valid reverse SSYT, so its columns are top-justified and
+    # strictly decreasing.
+    if not t.rows:
         return t
-    rows: list[list[int]] = [[e] for e in reversed(t.column(1))]
-    for c in range(2, t.width + 1):
-        for e in t.column(c):  # already in decreasing order
+    rows: list[list[int]] = [[row[0]] for row in reversed(t.rows)]
+    for c in range(1, len(t.rows[0])):
+        for trow in t.rows:
+            if len(trow) <= c:
+                break
+            e = trow[c]
             for row in rows:
-                if len(row) == c - 1 and row[-1] >= e:
+                if len(row) == c and row[-1] >= e:
                     row.append(e)
                     break
             else:
                 raise InvariantViolationError(
-                    f"no admissible row for entry {e} from column {c}"
+                    f"no admissible row for entry {e} from column {c + 1}"
                 )
-    u = Filling(rows)
-    vs = violations("ct", u)
-    if vs:
-        raise InvariantViolationError(f"insertion did not produce a composition tableau: {vs[0]}")
-    return u
+    return check_invariant("ct", Filling._trusted(rows), "insertion did not produce a composition tableau")

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .jeu_de_taquin import ShiftReport
-from .tableaux import Cell, Filling, InvariantViolationError, validate, violations
+from .tableaux import Cell, Filling, InvariantViolationError, _validate_k, check_invariant
 
 
 @dataclass
@@ -41,14 +41,12 @@ class PhiState:
     """Working state of one phi run.
 
     The grid may hold holes (``None``); ``box_column`` is the 1-based column
-    whose removed boxes are being processed; ``boxes`` are their coordinates;
-    ``log`` records insertions and bumps.
+    whose removed boxes are being processed; ``boxes`` are their coordinates.
     """
 
     grid: list[list[int | None]]
     box_column: int = 2
     boxes: list[Cell] = field(default_factory=list)
-    log: list[str] = field(default_factory=list)
 
     def snapshot(self) -> Filling:
         return Filling([row[:] for row in self.grid])
@@ -56,27 +54,26 @@ class PhiState:
 
 def phi(u: Filling, k: int) -> Filling:
     """Rectify the k largest first-column cells of a composition tableau."""
-    out, _ = _run(u, k)
-    return out
+    return _phi(_validate_k("ct", u, k), k, None)
 
 
 def phi_steps(u: Filling, k: int) -> list[tuple[str, Filling]]:
     """Labelled snapshots of a phi run, ending with the final tableau."""
-    _, steps = _run(u, k)
+    steps: list[tuple[str, Filling]] = []
+    _phi(_validate_k("ct", u, k), k, steps)
     return steps
 
 
-def _run(u: Filling, k: int) -> tuple[Filling, list[tuple[str, Filling]]]:
-    u = validate("ct", u)
-    if not 1 <= k <= u.n_rows:
-        raise ValueError(f"k must be in 1..{u.n_rows}, got {k}")
+def _phi(u: Filling, k: int, steps: list[tuple[str, Filling]] | None) -> Filling:
+    # The kernel: u must be a valid composition tableau and 1 <= k <= u.n_rows.
+    # Snapshots are taken only when a ``steps`` list is given.
     n = u.n_rows
     grid: list[list[int | None]] = [list(row) for row in u.rows]
-    steps: list[tuple[str, Filling]] = []
 
     for row in grid[n - k:]:
         row[0] = None
-    steps.append((f"remove {k} cell(s) from column 1", Filling([r[:] for r in grid])))
+    if steps is not None:
+        steps.append((f"remove {k} cell(s) from column 1", Filling([r[:] for r in grid])))
 
     kept = grid[: n - k]
     for row in grid[n - k:]:
@@ -85,10 +82,12 @@ def _run(u: Filling, k: int) -> tuple[Filling, list[tuple[str, Filling]]]:
         row[0], row[1] = row[1], None
         kept.append(row)
     state = PhiState(kept)
-    steps.append(("swap into column 1", state.snapshot()))
+    if steps is not None:
+        steps.append(("swap into column 1", state.snapshot()))
 
     state.grid.sort(key=lambda row: row[0])
-    steps.append(("reorder rows", state.snapshot()))
+    if steps is not None:
+        steps.append(("reorder rows", state.snapshot()))
 
     while True:
         col = state.box_column
@@ -107,24 +106,22 @@ def _run(u: Filling, k: int) -> tuple[Filling, list[tuple[str, Filling]]]:
         candidates.sort(key=lambda p: (-p[0], p[1]))
         for e, r_src in candidates:
             state.grid[r_src][col] = None  # vacate the source before any bump lands
-            state.log.append(f"pull {e} from ({r_src + 1},{col + 1}) into column {col}")
             _insert(state, e, col, 0)
-        steps.append((f"column {col} round", state.snapshot()))
+        if steps is not None:
+            steps.append((f"column {col} round", state.snapshot()))
         state.box_column += 1
 
     final_rows = []
     for r, row in enumerate(state.grid, start=1):
         while row and row[-1] is None:
             row.pop()
-        if any(v is None for v in row):
+        if None in row:
             raise InvariantViolationError(f"internal hole survived in row {r}")
         final_rows.append(row)
-    out = Filling(final_rows)
-    vs = violations("ct", out)
-    if vs:
-        raise InvariantViolationError(f"phi did not produce a composition tableau: {vs[0]}")
-    steps.append(("result", out))
-    return out, steps
+    out = check_invariant("ct", Filling._trusted(final_rows), "phi did not produce a composition tableau")
+    if steps is not None:
+        steps.append(("result", out))
+    return out
 
 
 def _insert(state: PhiState, entry: int, col: int, start_row: int) -> None:
@@ -140,14 +137,11 @@ def _insert(state: PhiState, entry: int, col: int, start_row: int) -> None:
         i = col - 1
         if len(row) == i:
             row.append(e)
-            state.log.append(f"place {e} at ({target + 1},{col})")
             return
         bumped = row[i]
         row[i] = e
         if bumped is None:
-            state.log.append(f"place {e} at ({target + 1},{col})")
             return
-        state.log.append(f"{e} bumps {bumped} at ({target + 1},{col})")
         e, row_from = bumped, target + 1
 
 
@@ -184,9 +178,7 @@ def eviction(t: Filling, k: int) -> ShiftReport:
     Returns column index -> shifting entries in decreasing order; columns
     without shifting entries are omitted.
     """
-    t = validate("rssyt", t)
-    if not 1 <= k <= t.n_rows:
-        raise ValueError(f"k must be in 1..{t.n_rows}, got {k}")
+    t = _validate_k("rssyt", t, k)
     survivors = t.column(1)[k:]
     report: ShiftReport = {}
     for c in range(2, t.width + 1):

@@ -32,8 +32,9 @@ from .tableaux import (
     Cell,
     Filling,
     InvariantViolationError,
+    _validate_k,
+    check_invariant,
     validate,
-    violations,
 )
 
 Direction = Literal["up", "left"]
@@ -125,25 +126,17 @@ def rectify_once(t: Filling) -> tuple[Filling, SlideTrace]:
     t = validate("rssyt", t)
     if t.n_rows == 0:
         raise ValueError("cannot rectify an empty tableau")
-    grid: list[list[int | None]] = [list(row) for row in t.rows]
-    removed = grid[0][0]
-    grid[0][0] = None
-    trace = _slide_out(grid, 0, 0, removed)
-    out = Filling(grid)
-    vs = violations("rssyt", out)
-    if vs:
-        raise InvariantViolationError(f"slide broke the tableau rules: {vs[0]}")
-    return out, trace
+    out, traces = _rectify_cells(t, 1, None)
+    return out, traces[0]
 
 
 def _rectify_cells(
     t: Filling, k: int, snaps: list[tuple[str, Filling]] | None
 ) -> tuple[Filling, list[SlideTrace]]:
-    t = validate("rssyt", t)
-    if not 1 <= k <= t.n_rows:
-        raise ValueError(f"k must be in 1..{t.n_rows}, got {k}")
+    # The kernel behind every rectification: t must be a valid reverse SSYT
+    # and 1 <= k <= t.n_rows.  Only the output is checked.
     grid: list[list[int | None]] = [list(row) for row in t.rows]
-    removed = [t.entry(i, 1) for i in range(1, k + 1)]
+    removed = [row[0] for row in t.rows[:k]]
     for i in range(k):
         grid[i][0] = None
     if snaps is not None:
@@ -154,10 +147,7 @@ def _rectify_cells(
         _slide_out(grid, i, 0, removed[i], snaps) for i in range(k - 1, -1, -1)
     ]
     traces.reverse()  # report by cell: largest removed entry first
-    out = Filling(grid)
-    vs = violations("rssyt", out)
-    if vs:
-        raise InvariantViolationError(f"slides broke the tableau rules: {vs[0]}")
+    out = check_invariant("rssyt", Filling._trusted(grid), "slides broke the tableau rules")
     return out, traces
 
 
@@ -168,13 +158,13 @@ def rectify_k(t: Filling, k: int) -> tuple[Filling, list[SlideTrace]]:
     ``traces[n-1]`` is the slide of the cell holding the n-th largest
     removed entry.  ``rectify_k(t, 1)`` equals ``rectify_once(t)``.
     """
-    return _rectify_cells(t, k, None)
+    return _rectify_cells(_validate_k("rssyt", t, k), k, None)
 
 
 def rectify_k_steps(t: Filling, k: int) -> list[tuple[str, Filling]]:
     """Labelled snapshots of a k-cell rectification, in slide order."""
     snaps: list[tuple[str, Filling]] = []
-    out, _ = _rectify_cells(t, k, snaps)
+    out, _ = _rectify_cells(_validate_k("rssyt", t, k), k, snaps)
     snaps.append(("result", out))
     return snaps
 
@@ -230,7 +220,7 @@ def dominant_path(t: Filling) -> list[tuple[int, int, int]]:
             break
         path.append(found)
         min_row = found[0]
-    _, trace = rectify_once(t)
+    _, (trace,) = _rectify_cells(t, 1, None)
     if path != trace.left_shifts():
         raise InvariantViolationError(
             f"dominant path {path} disagrees with slide shifts {trace.left_shifts()}"
@@ -290,7 +280,7 @@ def evacuate(t: Filling) -> Filling:
     cur = t
     while cur.n_rows:
         e = cur.entry(1, 1)
-        cur, trace = rectify_once(cur)
+        cur, (trace,) = _rectify_cells(cur, 1, None)
         r, c = trace.vacated_cell
         out[r - 1][c - 1] = n - e
     if any(v is None for row in out for v in row):

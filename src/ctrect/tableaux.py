@@ -64,8 +64,14 @@ class InvariantViolationError(RuntimeError):
     Raised when an operation whose correctness is guaranteed for valid input
     reaches a state that should be impossible: either the input was corrupted
     or the instance falsifies the guarantee, and the verification harness
-    records it either way.
+    records it either way.  ``violations`` lists the broken tableau rules
+    when the failed invariant is a produced tableau's validity, and is empty
+    otherwise.
     """
+
+    def __init__(self, message: str, violations: list["Violation"] | None = None):
+        super().__init__(message)
+        self.violations = violations or []
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,14 @@ class Filling:
                         f"slot ({r},{c}): expected None or a nonnegative integer, got {v!r}"
                     )
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _trusted(cls, rows: Iterable[Iterable[int | None]]) -> "Filling":
+        """Build a filling whose slots all come from validated fillings,
+        skipping the per-slot type check of the public constructor."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "rows", tuple(map(tuple, rows)))
+        return f
 
     @property
     def n_rows(self) -> int:
@@ -292,98 +306,97 @@ def violations(kind: TableauKind, f: Filling) -> list[Violation]:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown tableau kind {kind!r}")
+    rows = f.rows
     vs: list[Violation] = []
-    for r, row in enumerate(f.rows, start=1):
-        for c, v in enumerate(row, start=1):
-            if v is None:
-                vs.append(Violation("hole", (r, c), "holes are not allowed in a validated tableau"))
-            elif v == 0:
-                vs.append(Violation("entry", (r, c), "entries must be positive"))
+    for r, row in enumerate(rows, start=1):
+        if None in row or 0 in row:
+            for c, v in enumerate(row, start=1):
+                if v is None:
+                    vs.append(Violation("hole", (r, c), "holes are not allowed in a validated tableau"))
+                elif v == 0:
+                    vs.append(Violation("entry", (r, c), "entries must be positive"))
     if vs:
         return vs
-    for r, row in enumerate(f.rows, start=1):
-        if not row:
-            vs.append(Violation("shape", (r, 1), "empty row"))
-    if vs:
-        return vs
+    if () in rows:
+        return [Violation("shape", (r, 1), "empty row") for r, row in enumerate(rows, start=1) if not row]
 
-    if kind in ("ssyt", "rssyt", "syt"):
-        for r in range(1, f.n_rows):
-            if f.row_length(r + 1) > f.row_length(r):
+    young = kind != "ct"
+    if young:
+        for r in range(1, len(rows)):
+            if len(rows[r]) > len(rows[r - 1]):
                 vs.append(Violation("shape", (r + 1, 1), "row is longer than the row above"))
 
     increasing_rows = kind in ("ssyt", "syt")
-    for r, row in enumerate(f.rows, start=1):
-        for c in range(1, len(row)):
-            a, b = row[c - 1], row[c]
+    for r, row in enumerate(rows, start=1):
+        if list(row) == sorted(row, reverse=not increasing_rows):
+            continue  # already in order: nothing to report
+        for c, (a, b) in enumerate(zip(row, row[1:]), start=2):
             if increasing_rows and a > b:
-                vs.append(Violation("row-order", (r, c + 1), f"{b} < {a}: rows must weakly increase"))
+                vs.append(Violation("row-order", (r, c), f"{b} < {a}: rows must weakly increase"))
             elif not increasing_rows and a < b:
-                vs.append(Violation("row-order", (r, c + 1), f"{b} > {a}: rows must weakly decrease"))
+                vs.append(Violation("row-order", (r, c), f"{b} > {a}: rows must weakly decrease"))
 
-    if kind in ("ssyt", "rssyt", "syt"):
-        for c in range(1, f.width + 1):
-            for r in range(1, f.n_rows):
-                upper, lower = f.entry(r, c), f.entry(r + 1, c)
-                if upper == 0 or lower == 0:
-                    continue
-                if kind == "rssyt":
-                    if lower >= upper:
-                        vs.append(
-                            Violation("column-order", (r + 1, c), f"{lower} >= {upper}: columns must strictly decrease")
-                        )
-                elif lower <= upper:
-                    vs.append(
-                        Violation("column-order", (r + 1, c), f"{lower} <= {upper}: columns must strictly increase")
-                    )
+    if young:
+        # Scanned row pair by row pair; reported column by column.
+        decreasing = kind == "rssyt"
+        hits = [
+            (c, r, upper, lower)
+            for r, (upper_row, lower_row) in enumerate(zip(rows, rows[1:]), start=2)
+            for c, (upper, lower) in enumerate(zip(upper_row, lower_row), start=1)
+            if (lower >= upper if decreasing else lower <= upper)
+        ]
+        for c, r, upper, lower in sorted(hits):
+            message = (
+                f"{lower} >= {upper}: columns must strictly decrease"
+                if decreasing
+                else f"{lower} <= {upper}: columns must strictly increase"
+            )
+            vs.append(Violation("column-order", (r, c), message))
 
     if kind == "syt":
-        entries = sorted(v for _, _, v in f.cells())
+        entries = sorted(v for row in rows for v in row)
         if entries != list(range(1, len(entries) + 1)):
             vs.append(
                 Violation("content", (1, 1), f"entries must be exactly 1..{len(entries)}, each used once")
             )
 
     if kind == "ct":
-        for r in range(1, f.n_rows):
-            if f.entry(r + 1, 1) <= f.entry(r, 1):
+        for r in range(1, len(rows)):
+            above, below = rows[r - 1][0], rows[r][0]
+            if below <= above:
                 vs.append(
                     Violation(
                         "first-column",
                         (r + 1, 1),
-                        f"{f.entry(r + 1, 1)} <= {f.entry(r, 1)}: first column must strictly increase",
+                        f"{below} <= {above}: first column must strictly increase",
                     )
                 )
-        vs.extend(_triple_rule_violations(f))
+        vs.extend(_triple_rule_violations(rows))
 
     return vs
 
 
-def _triple_rule_violations(f: Filling) -> list[Violation]:
+def _triple_rule_violations(rows: tuple[Row, ...]) -> list[Violation]:
     # For each pair of columns (c, c+1) and rows r1 < r2: a = (r1, c+1),
     # c-cell = (r1, c), b = (r2, c+1).  b ranges over filled slots; a and the
-    # c-cell read 0 when absent.  Rule: a <= b implies b > c-cell.
-    vs = []
-    n = f.n_rows
-    for c in range(1, f.width):
-        for r1 in range(1, n + 1):
-            left = f.entry(r1, c)
-            if left == 0:
-                continue  # b > 0 holds for every filled b
-            a = f.entry(r1, c + 1)
-            for r2 in range(r1 + 1, n + 1):
-                b = f.entry(r2, c + 1)
-                if b == 0:
-                    continue
-                if a <= b <= left:
-                    vs.append(
-                        Violation(
-                            "triple",
-                            (r2, c + 1),
-                            f"a={a} at ({r1},{c + 1}), c={left} at ({r1},{c}): a <= b={b} but b is not > c",
-                        )
-                    )
-    return vs
+    # c-cell read 0 when absent.  Rule: a <= b implies b > c-cell.  The rows
+    # hold no holes.  Scanning row by row skips absent c-cells cheaply (b > 0
+    # holds for every filled b); the hits are reported column by column.
+    hits = []
+    for r1, row in enumerate(rows, start=1):
+        for c, left in enumerate(row, start=1):
+            a = row[c] if len(row) > c else 0
+            for r2, lower in enumerate(rows[r1:], start=r1 + 1):
+                if len(lower) > c and a <= lower[c] <= left:
+                    hits.append((c, r1, r2, a, left, lower[c]))
+    return [
+        Violation(
+            "triple",
+            (r2, c + 1),
+            f"a={a} at ({r1},{c + 1}), c={left} at ({r1},{c}): a <= b={b} but b is not > c",
+        )
+        for c, r1, r2, a, left, b in sorted(hits)
+    ]
 
 
 def validate(kind: TableauKind, f: Filling) -> Filling:
@@ -395,4 +408,28 @@ def validate(kind: TableauKind, f: Filling) -> Filling:
     vs = violations(kind, f)
     if vs:
         raise InvalidTableauError(kind, vs)
+    return f
+
+
+def check_invariant(kind: TableauKind, f: Filling, what: str) -> Filling:
+    """Return ``f`` unchanged if it is a valid tableau of the given kind.
+
+    This is the postcondition of every operation that produces a tableau
+    from a valid one, so a failure is a broken guarantee, not bad input.
+
+    Raises:
+        InvariantViolationError: ``"{what}: {first violation}"``, carrying
+            the full violation list as ``.violations``.
+    """
+    vs = violations(kind, f)
+    if vs:
+        raise InvariantViolationError(f"{what}: {vs[0]}", vs)
+    return f
+
+
+def _validate_k(kind: TableauKind, f: Filling, k: int) -> Filling:
+    # Input check shared by the k-cell operations: validate, then range-check k.
+    f = validate(kind, f)
+    if not 1 <= k <= f.n_rows:
+        raise ValueError(f"k must be in 1..{f.n_rows}, got {k}")
     return f

@@ -27,15 +27,17 @@ splits the work units across processes and never changes the output.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable
 
-from .bijection import rho, rho_inv
-from .ct_rectify import eviction, phi
+from .bijection import _rho, _rho_inv, rho, rho_inv
+from .ct_rectify import _phi, eviction
 from .jeu_de_taquin import (
+    _rectify_cells,
     is_diagonally_dominant,
     dominant_path,
     rectify_k,
@@ -150,6 +152,11 @@ def _k_bounds(rows: int, k_lo: int, k_hi: int | None) -> range:
     return range(max(k_lo, 1), hi + 1)
 
 
+# The roundtrip and commutativity checkers validate each enumerated tableau
+# once, through their first public call, and then call the trusted kernels;
+# every tableau a kernel produces is still checked once, as its output.
+
+
 def _check_roundtrip(args: tuple) -> tuple[int, list[Counterexample]]:
     (kind, shape), max_entry, _k_lo, _k_hi = args
     count = 0
@@ -158,7 +165,7 @@ def _check_roundtrip(args: tuple) -> tuple[int, list[Counterexample]]:
         for u in enumerate_ct(shape, max_entry):
             count += 1
             try:
-                back = rho_inv(rho(u))
+                back = _rho_inv(rho(u))
             except InvariantViolationError as exc:
                 ces.append(Counterexample(brief(u), brief(u), f"error: {exc}"))
                 continue
@@ -168,7 +175,7 @@ def _check_roundtrip(args: tuple) -> tuple[int, list[Counterexample]]:
         for t in enumerate_rssyt(shape, max_entry):
             count += 1
             try:
-                back = rho(rho_inv(t))
+                back = _rho(rho_inv(t))
             except InvariantViolationError as exc:
                 ces.append(Counterexample(brief(t), brief(t), f"error: {exc}"))
                 continue
@@ -189,12 +196,12 @@ def _check_commutativity(args: tuple) -> tuple[int, list[Counterexample]]:
         for k in ks:
             count += 1
             try:
-                expected = rho_inv(rectify_k(t, k)[0])
+                expected = _rho_inv(_rectify_cells(t, k, None)[0])
             except InvariantViolationError as exc:
                 ces.append(Counterexample(f"k={k}: {brief(u)}", f"error: {exc}", "-"))
                 continue
             try:
-                actual = phi(u, k)
+                actual = _phi(u, k, None)
             except InvariantViolationError as exc:
                 ces.append(
                     Counterexample(f"k={k}: {brief(u)}", brief(expected), f"error: {exc}")
@@ -406,19 +413,26 @@ def run_property(
     k_range: tuple[int, int] | None = None,
     jobs: int = 1,
 ) -> VerifyReport:
-    """Check one property over every instance within bounds."""
+    """Check one property over every instance within bounds.
+
+    ``jobs`` is an upper bound on worker processes: at most one per CPU and
+    one per work unit are started, and a single worker runs in-process.
+    """
     if name not in PROPERTIES:
         raise ValueError(f"unknown property {name!r}; choose from {', '.join(PROPERTY_NAMES)}")
     if max_cells < 1 or max_entry < 1:
         raise ValueError("bounds must be at least 1")
     if k_range is not None and not 1 <= k_range[0] <= k_range[1]:
         raise ValueError(f"bad k range {k_range}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     k_lo, k_hi = (1, None) if k_range is None else k_range
     prop = PROPERTIES[name]
     arglist = [(unit, max_entry, k_lo, k_hi) for unit in prop.units(max_cells)]
+    workers = min(jobs, os.cpu_count() or 1, len(arglist))
     started = time.perf_counter()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(prop.checker, arglist))
     else:
         results = [prop.checker(args) for args in arglist]

@@ -1,0 +1,108 @@
+"""The validation boundary: public operations check their input once,
+kernels trust it, and every produced tableau is checked once."""
+
+from __future__ import annotations
+
+import pytest
+
+from ctrect import (
+    Filling,
+    InvalidTableauError,
+    InvariantViolationError,
+    phi,
+    phi_steps,
+    rectify_k,
+    rectify_k_steps,
+    rho,
+    rho_inv,
+    run_property,
+    violations,
+)
+from ctrect.polynomials import compositions, enumerate_ct
+
+NOT_CT = Filling([[2, 1], [3, 2]])  # breaks the triple rule
+NOT_RSSYT = Filling([[1, 2], [3]])  # increasing row, longer column below
+
+INPUT_KIND = {
+    "rho": "ct",
+    "rho_inv": "rssyt",
+    "rectify_k": "rssyt",
+    "rectify_k_steps": "rssyt",
+    "phi": "ct",
+    "phi_steps": "ct",
+}
+CALLS = {
+    "rho": lambda f, k: rho(f),
+    "rho_inv": lambda f, k: rho_inv(f),
+    "rectify_k": rectify_k,
+    "rectify_k_steps": rectify_k_steps,
+    "phi": phi,
+    "phi_steps": phi_steps,
+}
+K_CALLS = ("rectify_k", "rectify_k_steps", "phi", "phi_steps")
+VALID = {"ct": Filling([[1], [3, 2], [4]]), "rssyt": Filling([[4, 3], [2], [1]])}
+INVALID = {"ct": NOT_CT, "rssyt": NOT_RSSYT}
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_invalid_input_raises_with_the_full_violation_list(name):
+    kind = INPUT_KIND[name]
+    bad = INVALID[kind]
+    with pytest.raises(InvalidTableauError) as exc:
+        CALLS[name](bad, 1)
+    assert exc.value.kind == kind
+    assert exc.value.violations == violations(kind, bad)
+
+
+@pytest.mark.parametrize("name", K_CALLS)
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_k_out_of_range(name, k):
+    with pytest.raises(ValueError, match=f"k must be in 1..3, got {k}"):
+        CALLS[name](VALID[INPUT_KIND[name]], k)
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [
+        (lambda: rho(VALID["ct"]), "rssyt", "column sort did not produce a reverse SSYT: "),
+        (lambda: rho_inv(VALID["rssyt"]), "ct", "insertion did not produce a composition tableau: "),
+        (lambda: rectify_k(VALID["rssyt"], 1), "rssyt", "slides broke the tableau rules: "),
+        (lambda: phi(VALID["ct"], 1), "ct", "phi did not produce a composition tableau: "),
+    ],
+)
+def test_corrupted_kernel_output_is_caught(monkeypatch, call, kind, message):
+    # Every kernel builds its output with the trusted constructor; reversing
+    # the rows there breaks each output's column or first-column order.
+    corrupted = []
+
+    def reversed_rows(cls, rows):
+        f = Filling([tuple(row) for row in rows][::-1])
+        corrupted.append(f)
+        return f
+
+    monkeypatch.setattr(Filling, "_trusted", classmethod(reversed_rows))
+    with pytest.raises(InvariantViolationError) as exc:
+        call()
+    (bad,) = corrupted
+    assert exc.value.violations == violations(kind, bad)
+    assert exc.value.violations
+    assert str(exc.value) == message + str(exc.value.violations[0])
+
+
+def test_verify_reports_corrupted_kernel_output(monkeypatch):
+    # The harness calls the kernels directly; their output checks still run.
+    monkeypatch.setattr(Filling, "_trusted", classmethod(lambda cls, rows: Filling(list(rows)[::-1])))
+    report = run_property("roundtrip", 3, 3)
+    assert not report.ok
+    assert all(ce.actual.startswith("error: ") for ce in report.counterexamples)
+    assert any("did not produce" in ce.actual for ce in report.counterexamples)
+
+
+def test_phi_equals_the_last_phi_step():
+    for m in range(1, 5):
+        for shape in compositions(m):
+            for u in enumerate_ct(shape, 4):
+                for k in range(1, u.n_rows + 1):
+                    label, last = phi_steps(u, k)[-1]
+                    assert label == "result"
+                    assert phi(u, k) == last, (u, k)

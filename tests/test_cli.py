@@ -227,6 +227,17 @@ class TestVerify:
         _, out2, _ = run(capsys, *argv, "--jobs", "2")
         assert out1 == out2
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_64(self, capsys, jobs):
+        code, out, err = run(
+            capsys,
+            "verify", "--property", "dominance", "--max-cells", "3", "--max-entry", "3",
+            "--jobs", jobs,
+        )
+        assert code == 64
+        assert out == ""
+        assert "jobs must be at least 1" in err
+
     def test_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code, _, _ = run(

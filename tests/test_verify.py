@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ctrect import run_property
+from ctrect import run_property, verify
 from ctrect.verify import PROPERTY_NAMES, brief
 from ctrect import Filling
 
@@ -38,6 +38,47 @@ def test_jobs_do_not_change_the_report():
     parallel = run_property("lemma42", 4, 4, jobs=2)
     assert serial.render() == parallel.render()
     assert serial.instances == parallel.instances
+
+
+def _serial_executor(asked: list[int]):
+    """A stand-in for ProcessPoolExecutor that records the worker count
+    asked for and maps in-process, so no process is started."""
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    return SerialExecutor
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [(1000, 8, 8), (3, 8, 3), (1000, 64, 11), (2, 1, None), (2, None, None), (1, 8, None)],
+)
+def test_jobs_are_clamped_to_cpus_and_units(monkeypatch, jobs, cpus, workers):
+    # lemma42 at 4/4 has 11 work units, one per partition of 1..4 cells;
+    # os.cpu_count() may return None.  One worker runs in-process.
+    asked: list[int] = []
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", _serial_executor(asked))
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    report = run_property("lemma42", 4, 4, jobs=jobs)
+    assert asked == ([] if workers is None else [workers])
+    assert report.render() == run_property("lemma42", 4, 4).render()
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_property("lemma42", 4, 4, jobs=jobs)
 
 
 def test_report_render_shape():
