@@ -6,121 +6,88 @@ tableaux, jeu-de-taquin rectification with full slide traces, direct k-cell
 rectification of composition tableaux, the eviction ordering, evacuation,
 Schur and monomial (quasi)symmetric polynomial expansions, and an exhaustive
 small-instance verification harness, all exposed through one CLI.
+
+Public names are loaded on first access (PEP 562), so importing the package,
+or one of its modules, loads only the modules that are used.
 """
 
-from .bijection import rho, rho_inv
-from .ct_rectify import PhiState, eviction, phi, phi_steps
-from .jeu_de_taquin import (
-    ShiftReport,
-    SlideStep,
-    SlideTrace,
-    dominant_path,
-    evacuate,
-    is_diagonally_dominant,
-    rectify_k,
-    rectify_k_steps,
-    rectify_once,
-    replay,
-    shifting_entries,
-)
-from .polynomials import (
-    Polynomial,
-    compositions,
-    enumerate_ct,
-    enumerate_rssyt,
-    enumerate_ssyt,
-    is_quasisymmetric,
-    is_symmetric,
-    monomial_qsym_expand,
-    monomial_sym_expand,
-    parse_polynomial,
-    partitions,
-    render_polynomial,
-    schur_expand,
-    weight_monomial,
-)
-from .tableaux import (
-    Cell,
-    CompositionShape,
-    Filling,
-    InvalidTableauError,
-    InvariantViolationError,
-    KINDS,
-    ParseError,
-    PartitionShape,
-    Row,
-    ShapeUndefinedError,
-    TableauKind,
-    Violation,
-    Weight,
-    filling_from_json,
-    filling_to_json,
-    parse_filling,
-    render_filling,
-    shape_of,
-    validate,
-    violations,
-    weight_of,
-)
-from .verify import Counterexample, PROPERTY_NAMES, VerifyReport, run_property
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Cell",
-    "CompositionShape",
-    "Counterexample",
-    "Filling",
-    "InvalidTableauError",
-    "InvariantViolationError",
-    "KINDS",
-    "ParseError",
-    "PartitionShape",
-    "PhiState",
-    "Polynomial",
-    "PROPERTY_NAMES",
-    "Row",
-    "ShapeUndefinedError",
-    "ShiftReport",
-    "SlideStep",
-    "SlideTrace",
-    "TableauKind",
-    "VerifyReport",
-    "Violation",
-    "Weight",
-    "compositions",
-    "dominant_path",
-    "enumerate_ct",
-    "enumerate_rssyt",
-    "enumerate_ssyt",
-    "evacuate",
-    "eviction",
-    "filling_from_json",
-    "filling_to_json",
-    "is_diagonally_dominant",
-    "is_quasisymmetric",
-    "is_symmetric",
-    "monomial_qsym_expand",
-    "monomial_sym_expand",
-    "parse_filling",
-    "parse_polynomial",
-    "partitions",
-    "phi",
-    "phi_steps",
-    "rectify_k",
-    "rectify_k_steps",
-    "rectify_once",
-    "render_filling",
-    "render_polynomial",
-    "replay",
-    "rho",
-    "rho_inv",
-    "run_property",
-    "schur_expand",
-    "shape_of",
-    "shifting_entries",
-    "validate",
-    "violations",
-    "weight_monomial",
-    "weight_of",
-]
+_EXPORTS = {
+    "bijection": ("rho", "rho_inv"),
+    "ct_rectify": ("PhiState", "eviction", "phi", "phi_steps"),
+    "jeu_de_taquin": (
+        "ShiftReport",
+        "SlideStep",
+        "SlideTrace",
+        "dominant_path",
+        "evacuate",
+        "is_diagonally_dominant",
+        "rectify_k",
+        "rectify_k_steps",
+        "rectify_once",
+        "replay",
+        "shifting_entries",
+    ),
+    "polynomials": (
+        "Polynomial",
+        "compositions",
+        "enumerate_ct",
+        "enumerate_rssyt",
+        "enumerate_ssyt",
+        "is_quasisymmetric",
+        "is_symmetric",
+        "monomial_qsym_expand",
+        "monomial_sym_expand",
+        "parse_polynomial",
+        "partitions",
+        "render_polynomial",
+        "schur_expand",
+        "weight_monomial",
+    ),
+    "tableaux": (
+        "Cell",
+        "CompositionShape",
+        "Filling",
+        "InvalidTableauError",
+        "InvariantViolationError",
+        "KINDS",
+        "ParseError",
+        "PartitionShape",
+        "Row",
+        "ShapeUndefinedError",
+        "TableauKind",
+        "Violation",
+        "Weight",
+        "filling_from_json",
+        "filling_to_json",
+        "parse_filling",
+        "render_filling",
+        "shape_of",
+        "validate",
+        "violations",
+        "weight_of",
+    ),
+    "verify": ("Counterexample", "PROPERTY_NAMES", "VerifyReport", "run_property"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # Submodule names are not in the map: the AttributeError lets
+    # ``from ctrect import verify`` fall back to importing the submodule.
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

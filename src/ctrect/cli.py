@@ -10,21 +10,11 @@ check, 2 invalid input, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .bijection import rho, rho_inv
-from .ct_rectify import eviction, phi, phi_steps
-from .jeu_de_taquin import evacuate, rectify_k, rectify_k_steps, shifting_entries
-from .polynomials import (
-    is_quasisymmetric,
-    is_symmetric,
-    monomial_qsym_expand,
-    monomial_sym_expand,
-    parse_polynomial,
-    render_polynomial,
-    schur_expand,
-)
+# Only the carrier is loaded up front: the parser, input reading and the
+# error mapping in ``main`` need it.  Each handler imports the module it
+# runs, so a call loads no module its subcommand does not use.
 from .tableaux import (
     Filling,
     InvalidTableauError,
@@ -38,7 +28,6 @@ from .tableaux import (
     render_filling,
     violations,
 )
-from .verify import PROPERTY_NAMES, run_property
 
 EX_OK = 0
 EX_COUNTEREXAMPLE = 1
@@ -103,11 +92,15 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_rho(args) -> int:
+    from .bijection import rho
+
     _emit_tableau(rho(_read_tableau(args.file)), args.json)
     return EX_OK
 
 
 def _cmd_rho_inv(args) -> int:
+    from .bijection import rho_inv
+
     _emit_tableau(rho_inv(_read_tableau(args.file)), args.json)
     return EX_OK
 
@@ -122,6 +115,8 @@ def _print_block(label: str, f: Filling) -> None:
 def _cmd_rectify(args) -> int:
     f = _read_tableau(args.file)
     if args.kind == "rssyt":
+        from .jeu_de_taquin import rectify_k, rectify_k_steps, shifting_entries
+
         if args.trace:
             for label, state in rectify_k_steps(f, args.cells):
                 _print_block(label, state)
@@ -132,6 +127,8 @@ def _cmd_rectify(args) -> int:
             for c in sorted(report):
                 print(f"shift column {c}: {' '.join(str(e) for e in report[c])}", file=sys.stderr)
     else:
+        from .ct_rectify import phi, phi_steps
+
         if args.trace:
             for label, state in phi_steps(f, args.cells):
                 _print_block(label, state)
@@ -141,11 +138,15 @@ def _cmd_rectify(args) -> int:
 
 
 def _cmd_evacuate(args) -> int:
+    from .jeu_de_taquin import evacuate
+
     _emit_tableau(evacuate(_read_tableau(args.file)), args.json)
     return EX_OK
 
 
 def _cmd_eviction(args) -> int:
+    from .ct_rectify import eviction
+
     report = eviction(_read_tableau(args.file), args.cells)
     for c in sorted(report):
         print(f"column {c}: {' '.join(str(e) for e in report[c])}")
@@ -153,7 +154,16 @@ def _cmd_eviction(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from .polynomials import (
+        monomial_qsym_expand,
+        monomial_sym_expand,
+        render_polynomial,
+        schur_expand,
+    )
+
     parts = _parse_parts(args.parts)
+    if args.vars < 1:
+        raise ValueError(f"--vars must be at least 1, got {args.vars}")
     try:
         if args.basis == "schur":
             poly = schur_expand(parts, args.vars)
@@ -170,6 +180,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_check_qsym(args) -> int:
+    from .polynomials import is_quasisymmetric, is_symmetric, parse_polynomial
+
     poly = parse_polynomial(_read_text(args.file))
     qsym = is_quasisymmetric(poly)
     print(f"quasisymmetric: {'true' if qsym else 'false'}")
@@ -178,6 +190,10 @@ def _cmd_check_qsym(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
+    from .verify import run_property
+
     k_range = _parse_k_range(args.k_range) if args.k_range else None
     report = run_property(
         args.property, args.max_cells, args.max_entry, k_range=k_range, jobs=args.jobs
@@ -234,7 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_qsym)
 
     p = sub.add_parser("verify", help="exhaustively check a property within bounds")
-    p.add_argument("--property", choices=PROPERTY_NAMES, required=True)
+    # Not ``choices``: listing the names would load ``verify`` on every call.
+    # ``run_property`` rejects an unknown name with the full list (exit 64).
+    p.add_argument("--property", required=True)
     p.add_argument("--max-cells", type=int, required=True)
     p.add_argument("--max-entry", type=int, required=True)
     p.add_argument("--k-range", metavar="A..B", help="restrict k (default: 1..rows)")

@@ -19,9 +19,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .tableaux import (
     CompositionShape,
@@ -314,7 +314,25 @@ def monomial_sym_expand(shape: PartitionShape, nvars: int) -> Polynomial:
     if len(shape) > nvars:
         return Polynomial.zero(nvars)
     padded = shape + (0,) * (nvars - len(shape))
-    return Polynomial(nvars, {exps: 1 for exps in set(permutations(padded))})
+    return Polynomial(nvars, {exps: 1 for exps in _rearrangements(padded)})
+
+
+def _rearrangements(values: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """Each distinct ordering of the multiset ``values`` once, in ascending
+    lexicographic order (next-permutation steps, Knuth's Algorithm L)."""
+    a = sorted(values)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 def monomial_qsym_expand(shape: CompositionShape, nvars: int) -> Polynomial:

@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable
 
 from .bijection import _rho, _rho_inv, rho, rho_inv
@@ -46,6 +44,7 @@ from .jeu_de_taquin import (
 )
 from .polynomials import (
     Polynomial,
+    _rearrangements,
     compositions,
     enumerate_ct,
     enumerate_rssyt,
@@ -318,7 +317,7 @@ def _check_dominance(args: tuple) -> tuple[int, list[Counterexample]]:
 
 def _weight_sum_ct(shape_total: tuple[int, ...], max_entry: int) -> Polynomial:
     acc = Polynomial.zero(max_entry)
-    for comp in sorted(set(permutations(shape_total))):
+    for comp in _rearrangements(shape_total):
         acc = acc + Polynomial.from_monomials(
             max_entry,
             ((weight_monomial(u, max_entry), 1) for u in enumerate_ct(comp, max_entry)),
@@ -432,6 +431,10 @@ def run_property(
     workers = min(jobs, os.cpu_count() or 1, len(arglist))
     started = time.perf_counter()
     if workers > 1:
+        # Imported here so that serial runs do not pay for loading the pool
+        # (multiprocessing, pickle, socket) at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(prop.checker, arglist))
     else:

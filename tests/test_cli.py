@@ -189,6 +189,14 @@ class TestExpand:
         assert code == 2
         assert "not a partition shape" in err
 
+    @pytest.mark.parametrize("basis", ["schur", "msym", "mqsym"])
+    @pytest.mark.parametrize("nvars", ["0", "-1"])
+    def test_vars_below_one_exits_64(self, capsys, basis, nvars):
+        code, out, err = run(capsys, "expand", basis, "1", "--vars", nvars)
+        assert code == 64
+        assert out == ""
+        assert "--vars must be at least 1" in err
+
 
 class TestCheckQsym:
     def test_quasisymmetric_file(self, capsys, tmp_path):
@@ -238,6 +246,17 @@ class TestVerify:
         assert out == ""
         assert "jobs must be at least 1" in err
 
+    def test_unknown_property_exits_64(self, capsys):
+        from ctrect.verify import PROPERTY_NAMES
+
+        code, out, err = run(
+            capsys, "verify", "--property", "nope", "--max-cells", "2", "--max-entry", "2"
+        )
+        assert code == 64
+        assert out == ""
+        assert "unknown property 'nope'" in err
+        assert all(name in err for name in PROPERTY_NAMES)
+
     def test_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code, _, _ = run(
@@ -278,7 +297,7 @@ class TestVerify:
             "roundtrip", 3, 3, None, 5,
             [Counterexample("2 1 / 1", "2 1 / 1", "2 / 1 1")], 0.0,
         )
-        monkeypatch.setattr("ctrect.cli.run_property", lambda *a, **kw: canned)
+        monkeypatch.setattr("ctrect.verify.run_property", lambda *a, **kw: canned)
         code, out, _ = run(
             capsys,
             "verify", "--property", "roundtrip", "--max-cells", "3", "--max-entry", "3",

@@ -1,0 +1,98 @@
+"""Import boundary: a call loads only the modules it runs, and the package's
+public names resolve on first access.
+
+Every check runs in a fresh interpreter, since the test process has long
+since imported everything.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ctrect
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SRC = str(Path(ctrect.__file__).resolve().parent.parent)
+HEAVY = ("ctrect.verify", "ctrect.polynomials", "concurrent.futures", "multiprocessing")
+PRINT_LOADED = f"import json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+
+
+def run_fresh(code: str):
+    """Run ``code`` in a fresh interpreter that imports ``ctrect`` from this
+    checkout, and return the JSON value on its last stdout line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "--kind", "ct", str(FIXTURES / "ct_u.txt")], ["rho", str(FIXTURES / "ct_u.txt")]],
+)
+def test_tableau_commands_load_no_harness_or_pool(argv):
+    code = f"from ctrect.cli import main\nassert main({argv!r}) == 0\n{PRINT_LOADED}"
+    assert run_fresh(code) == []
+
+
+def test_serial_verify_loads_no_pool():
+    code = (
+        "from ctrect.verify import run_property\n"
+        "assert run_property('roundtrip', 2, 2, jobs=1).ok\n" + PRINT_LOADED
+    )
+    assert run_fresh(code) == ["ctrect.verify", "ctrect.polynomials"]
+
+
+def test_public_names_resolve_to_their_module_attributes():
+    code = """
+import importlib, json
+import ctrect
+names = list(ctrect.__all__)
+first = {n: getattr(ctrect, n) for n in names}
+wrong = [
+    n for n in names
+    if first[n] is not getattr(importlib.import_module("ctrect." + ctrect._MODULE_OF[n]), n)
+]
+print(json.dumps({"names": names, "wrong": wrong}))
+"""
+    out = run_fresh(code)
+    assert out["wrong"] == []
+    assert len(out["names"]) == len(set(out["names"])) == 56
+    assert {"rho", "phi", "Filling", "run_property", "PROPERTY_NAMES"} <= set(out["names"])
+
+
+def test_star_and_submodule_imports():
+    code = """
+import json
+from ctrect import verify
+from ctrect import *
+import ctrect
+print(json.dumps({
+    "submodule": verify.__name__,
+    "star": sorted(set(ctrect.__all__) - set(globals())),
+    "same": run_property is verify.run_property,
+}))
+"""
+    assert run_fresh(code) == {"submodule": "ctrect.verify", "star": [], "same": True}
+
+
+def test_unknown_name_raises_attribute_error():
+    code = """
+import json
+import ctrect
+try:
+    ctrect.no_such_name
+    print(json.dumps(None))
+except AttributeError as exc:
+    print(json.dumps(str(exc)))
+"""
+    assert run_fresh(code) == "module 'ctrect' has no attribute 'no_such_name'"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,9 +19,11 @@ from ctrect import (
     monomial_qsym_expand,
     monomial_sym_expand,
     parse_polynomial,
+    partitions,
     render_polynomial,
     schur_expand,
 )
+from ctrect.polynomials import _rearrangements
 
 
 class TestEnumeration:
@@ -120,6 +124,28 @@ class TestExpansions:
             (1, 0, 1): 1,
             (0, 1, 1): 1,
         }
+
+    def test_msym_matches_all_permutations_reference(self):
+        # reference: every permutation of the padded shape, duplicates dropped
+        def reference(shape, nvars):
+            if len(shape) > nvars:
+                return Polynomial.zero(nvars)
+            padded = shape + (0,) * (nvars - len(shape))
+            return Polynomial(nvars, {exps: 1 for exps in set(permutations(padded))})
+
+        for n in range(8):
+            for shape in partitions(n):
+                if len(shape) > 5:
+                    continue
+                for nvars in range(1, 8):
+                    assert monomial_sym_expand(shape, nvars) == reference(shape, nvars)
+                padded = shape + (0,) * (7 - len(shape))
+                assert list(_rearrangements(padded)) == sorted(set(permutations(padded)))
+
+    def test_msym_many_variables(self):
+        p = monomial_sym_expand((2, 1), 12)
+        assert len(p.terms) == 12 * 11
+        assert (2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1) in p.terms
 
     def test_mqsym_21(self):
         assert monomial_qsym_expand((2, 1), 3).terms == {

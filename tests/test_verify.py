@@ -68,7 +68,7 @@ def test_jobs_are_clamped_to_cpus_and_units(monkeypatch, jobs, cpus, workers):
     # lemma42 at 4/4 has 11 work units, one per partition of 1..4 cells;
     # os.cpu_count() may return None.  One worker runs in-process.
     asked: list[int] = []
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", _serial_executor(asked))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _serial_executor(asked))
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     report = run_property("lemma42", 4, 4, jobs=jobs)
     assert asked == ([] if workers is None else [workers])
