@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "bijection": ("rho", "rho_inv"),
-    "ct_rectify": ("PhiState", "eviction", "phi", "phi_steps"),
+    "ct_rectify": ("eviction", "phi", "phi_steps"),
     "jeu_de_taquin": (
         "ShiftReport",
         "SlideStep",

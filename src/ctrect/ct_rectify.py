@@ -30,26 +30,7 @@ entries and the matched ones survive to align the following column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .jeu_de_taquin import ShiftReport
-from .tableaux import Cell, Filling, InvariantViolationError, _validate_k, check_invariant
-
-
-@dataclass
-class PhiState:
-    """Working state of one phi run.
-
-    The grid may hold holes (``None``); ``box_column`` is the 1-based column
-    whose removed boxes are being processed; ``boxes`` are their coordinates.
-    """
-
-    grid: list[list[int | None]]
-    box_column: int = 2
-    boxes: list[Cell] = field(default_factory=list)
-
-    def snapshot(self) -> Filling:
-        return Filling([row[:] for row in self.grid])
+from .tableaux import Filling, InvariantViolationError, _validate_k, check_invariant
 
 
 def phi(u: Filling, k: int) -> Filling:
@@ -70,70 +51,60 @@ def _phi(u: Filling, k: int, steps: list[tuple[str, Filling]] | None) -> Filling
     n = u.n_rows
     grid: list[list[int | None]] = [list(row) for row in u.rows]
 
+    def snapshot(label: str) -> None:
+        if steps is not None:
+            steps.append((label, Filling(grid)))
+
     for row in grid[n - k:]:
         row[0] = None
-    if steps is not None:
-        steps.append((f"remove {k} cell(s) from column 1", Filling([r[:] for r in grid])))
+    snapshot(f"remove {k} cell(s) from column 1")
 
     kept = grid[: n - k]
     for row in grid[n - k:]:
-        if len(row) == 1:
-            continue  # the row is empty now and disappears
-        row[0], row[1] = row[1], None
-        kept.append(row)
-    state = PhiState(kept)
-    if steps is not None:
-        steps.append(("swap into column 1", state.snapshot()))
+        if len(row) > 1:  # a row left empty disappears
+            row[0], row[1] = row[1], None
+            kept.append(row)
+    grid = kept
+    snapshot("swap into column 1")
 
-    state.grid.sort(key=lambda row: row[0])
-    if steps is not None:
-        steps.append(("reorder rows", state.snapshot()))
+    grid.sort(key=lambda row: row[0])
+    snapshot("reorder rows")
 
+    col = 2  # the 1-based column whose removed boxes are being processed
     while True:
-        col = state.box_column
-        state.boxes = [
-            (r + 1, col)
-            for r, row in enumerate(state.grid)
-            if len(row) >= col and row[col - 1] is None
+        candidates = [
+            (row[col], r)
+            for r, row in enumerate(grid)
+            if len(row) > col and row[col - 1] is None and row[col] is not None
         ]
-        candidates = []
-        for r, _ in state.boxes:
-            row = state.grid[r - 1]
-            if len(row) > col and row[col] is not None:
-                candidates.append((row[col], r - 1))
         if not candidates:
             break
         candidates.sort(key=lambda p: (-p[0], p[1]))
         for e, r_src in candidates:
-            state.grid[r_src][col] = None  # vacate the source before any bump lands
-            _insert(state, e, col, 0)
-        if steps is not None:
-            steps.append((f"column {col} round", state.snapshot()))
-        state.box_column += 1
+            grid[r_src][col] = None  # vacate the source before any bump lands
+            _insert(grid, e, col)
+        snapshot(f"column {col} round")
+        col += 1
 
-    final_rows = []
-    for r, row in enumerate(state.grid, start=1):
+    for r, row in enumerate(grid, start=1):
         while row and row[-1] is None:
             row.pop()
         if None in row:
             raise InvariantViolationError(f"internal hole survived in row {r}")
-        final_rows.append(row)
-    out = check_invariant("ct", Filling._trusted(final_rows), "phi did not produce a composition tableau")
-    if steps is not None:
-        steps.append(("result", out))
+    out = check_invariant("ct", Filling._trusted(grid), "phi did not produce a composition tableau")
+    snapshot("result")
     return out
 
 
-def _insert(state: PhiState, entry: int, col: int, start_row: int) -> None:
-    # col is the 1-based target column; start_row the 0-based first row to
-    # scan.  Bumped entries re-enter strictly below their old row.
-    e = entry
-    row_from = start_row
+def _insert(grid: list[list[int | None]], e: int, col: int) -> None:
+    # col is the 1-based target column.  Bumped entries re-enter strictly
+    # below their old row.
+    row_from = 0
     while True:
-        target = _admissible_row(state.grid, e, col, row_from)
+        target = _admissible_row(grid, e, col, row_from)
         if target is None:
             raise InvariantViolationError(f"no admissible cell in column {col} for entry {e}")
-        row = state.grid[target]
+        row = grid[target]
         i = col - 1
         if len(row) == i:
             row.append(e)
@@ -172,7 +143,7 @@ def _admissible_row(
     return None
 
 
-def eviction(t: Filling, k: int) -> ShiftReport:
+def eviction(t: Filling, k: int) -> dict[int, list[int]]:
     """Shifting entries of a k-cell rectification, found by alignment.
 
     Returns column index -> shifting entries in decreasing order; columns
@@ -180,7 +151,7 @@ def eviction(t: Filling, k: int) -> ShiftReport:
     """
     t = _validate_k("rssyt", t, k)
     survivors = t.column(1)[k:]
-    report: ShiftReport = {}
+    report: dict[int, list[int]] = {}
     for c in range(2, t.width + 1):
         entries = t.column(c)  # decreasing top to bottom
         taken = [False] * len(entries)

@@ -17,7 +17,8 @@ appear in strictly decreasing order across traces.
 An entry that moves one column left during a slide is a *shifting entry*.
 For a single round the shifting entries are exactly the diagonally dominant
 entries on the southeast path traced by :func:`dominant_path`, which
-recomputes them declaratively and checks itself against the slide trace.
+finds them declaratively, without sliding.  :func:`replay` rebuilds every
+intermediate diagram from the traces.
 
 :func:`evacuate` iterates single rounds, writing ``n - removed`` into each
 vacated corner of a same-shape output grid.
@@ -73,13 +74,7 @@ class SlideTrace:
         ]
 
 
-def _slide_out(
-    grid: list[list[int | None]],
-    er: int,
-    ec: int,
-    removed: int,
-    snaps: list[tuple[str, Filling]] | None = None,
-) -> SlideTrace:
+def _slide_out(grid: list[list[int | None]], er: int, ec: int, removed: int) -> SlideTrace:
     # Slide the hole at 0-based (er, ec) out of the grid, mutating it.  Any
     # other holes sit above the slide path and are never read.
     steps: list[SlideStep] = []
@@ -100,15 +95,13 @@ def _slide_out(
             grid[er][ec + 1] = None
             steps.append(SlideStep((er + 1, ec + 2), (er + 1, ec + 1), right, "left"))
             ec += 1
-        if snaps is not None:
-            s = steps[-1]
-            fr, fc = s.from_cell
-            snaps.append(
-                (
-                    f"slide {s.entry} {s.direction} from ({fr},{fc})",
-                    Filling([row[:] for row in grid]),
-                )
-            )
+    _vacate(grid, er, ec)
+    return SlideTrace(removed, tuple(steps), (er + 1, ec + 1))
+
+
+def _vacate(grid: list[list[int | None]], er: int, ec: int) -> None:
+    # Delete the empty slot at 0-based (er, ec), where a slide ended.  Only
+    # the bottom row may empty: the holes are slid out bottom to top.
     if len(grid[er]) != ec + 1:
         raise InvariantViolationError(f"slide ended at ({er + 1},{ec + 1}), not a corner")
     grid[er].pop()
@@ -116,9 +109,6 @@ def _slide_out(
         if er != len(grid) - 1:
             raise InvariantViolationError(f"row {er + 1} emptied above a nonempty row")
         grid.pop()
-    if snaps is not None:
-        snaps.append((f"vacate ({er + 1},{ec + 1})", Filling([row[:] for row in grid])))
-    return SlideTrace(removed, tuple(steps), (er + 1, ec + 1))
 
 
 def rectify_once(t: Filling) -> tuple[Filling, SlideTrace]:
@@ -126,26 +116,17 @@ def rectify_once(t: Filling) -> tuple[Filling, SlideTrace]:
     t = validate("rssyt", t)
     if t.n_rows == 0:
         raise ValueError("cannot rectify an empty tableau")
-    out, traces = _rectify_cells(t, 1, None)
+    out, traces = _rectify_cells(t, 1)
     return out, traces[0]
 
 
-def _rectify_cells(
-    t: Filling, k: int, snaps: list[tuple[str, Filling]] | None
-) -> tuple[Filling, list[SlideTrace]]:
+def _rectify_cells(t: Filling, k: int) -> tuple[Filling, list[SlideTrace]]:
     # The kernel behind every rectification: t must be a valid reverse SSYT
     # and 1 <= k <= t.n_rows.  Only the output is checked.
     grid: list[list[int | None]] = [list(row) for row in t.rows]
-    removed = [row[0] for row in t.rows[:k]]
     for i in range(k):
         grid[i][0] = None
-    if snaps is not None:
-        snaps.append(
-            (f"remove {k} cell(s) from column 1", Filling([row[:] for row in grid]))
-        )
-    traces = [
-        _slide_out(grid, i, 0, removed[i], snaps) for i in range(k - 1, -1, -1)
-    ]
+    traces = [_slide_out(grid, i, 0, t.rows[i][0]) for i in range(k - 1, -1, -1)]
     traces.reverse()  # report by cell: largest removed entry first
     out = check_invariant("rssyt", Filling._trusted(grid), "slides broke the tableau rules")
     return out, traces
@@ -158,15 +139,13 @@ def rectify_k(t: Filling, k: int) -> tuple[Filling, list[SlideTrace]]:
     ``traces[n-1]`` is the slide of the cell holding the n-th largest
     removed entry.  ``rectify_k(t, 1)`` equals ``rectify_once(t)``.
     """
-    return _rectify_cells(_validate_k("rssyt", t, k), k, None)
+    return _rectify_cells(_validate_k("rssyt", t, k), k)
 
 
 def rectify_k_steps(t: Filling, k: int) -> list[tuple[str, Filling]]:
     """Labelled snapshots of a k-cell rectification, in slide order."""
-    snaps: list[tuple[str, Filling]] = []
-    out, _ = _rectify_cells(_validate_k("rssyt", t, k), k, snaps)
-    snaps.append(("result", out))
-    return snaps
+    out, traces = rectify_k(t, k)
+    return replay(t, *traces) + [("result", out)]
 
 
 def shifting_entries(traces: list[SlideTrace]) -> ShiftReport:
@@ -198,9 +177,9 @@ def dominant_path(t: Filling) -> list[tuple[int, int, int]]:
     """Southeast path of diagonally dominant entries, one per column.
 
     For each column from 2 on, pick the largest dominant entry at or below
-    the previously chosen row; stop at the first column without one.  The
-    result must coincide with the column shifts of :func:`rectify_once`,
-    which is recomputed here as a guard.
+    the previously chosen row; stop at the first column without one.  For a
+    single round this is exactly the column shifts of :func:`rectify_once`;
+    the ``dominance`` property of the verification harness checks that.
     """
     t = validate("rssyt", t)
     if t.n_rows == 0:
@@ -220,46 +199,42 @@ def dominant_path(t: Filling) -> list[tuple[int, int, int]]:
             break
         path.append(found)
         min_row = found[0]
-    _, (trace,) = _rectify_cells(t, 1, None)
-    if path != trace.left_shifts():
-        raise InvariantViolationError(
-            f"dominant path {path} disagrees with slide shifts {trace.left_shifts()}"
-        )
     return path
 
 
-def replay(t: Filling, trace: SlideTrace) -> list[tuple[str, Filling]]:
-    """Labelled snapshots of one single-cell round, reconstructed from its
-    trace.
+def replay(t: Filling, *traces: SlideTrace) -> list[tuple[str, Filling]]:
+    """Labelled snapshots of a k-cell rectification, reconstructed from its
+    ``k = len(traces)`` traces, given in the order :func:`rectify_k`
+    reports them.
 
-    Snapshots show the migrating empty cell as a hole; the last snapshot is
-    the rectified tableau.  Raises when the trace does not fit the tableau,
+    Snapshots show the migrating empty cells as holes; the last snapshot is
+    the rectified tableau.  Raises when a trace does not fit the tableau,
     so tests can use it to check trace coherence.
     """
     grid: list[list[int | None]] = [list(row) for row in t.rows]
-    states: list[tuple[str, Filling]] = []
-    grid[0][0] = None
-    states.append((f"remove {trace.removed_entry} at (1,1)", Filling([r[:] for r in grid])))
-    for step in trace.steps:
-        fr, fc = step.from_cell
-        tr, tc = step.to_cell
-        if grid[fr - 1][fc - 1] != step.entry or grid[tr - 1][tc - 1] is not None:
-            raise InvariantViolationError(f"trace step {step} does not fit the grid")
-        grid[tr - 1][tc - 1] = step.entry
-        grid[fr - 1][fc - 1] = None
-        states.append(
-            (
-                f"slide {step.entry} {step.direction} from ({fr},{fc})",
-                Filling([r[:] for r in grid]),
-            )
-        )
-    vr, vc = trace.vacated_cell
-    if grid[vr - 1][vc - 1] is not None or len(grid[vr - 1]) != vc:
-        raise InvariantViolationError(f"vacated cell ({vr},{vc}) is not the trailing empty slot")
-    grid[vr - 1].pop()
-    if not grid[vr - 1]:
-        grid.pop()
-    states.append((f"vacate ({vr},{vc})", Filling(grid)))
+    for i, trace in enumerate(traces):
+        if grid[i][0] != trace.removed_entry:
+            raise InvariantViolationError(f"trace {i + 1} does not remove the entry at ({i + 1},1)")
+        grid[i][0] = None
+    states = [(f"remove {len(traces)} cell(s) from column 1", Filling(grid))]
+    for i in range(len(traces) - 1, -1, -1):
+        hr, hc = i + 1, 1  # the migrating empty cell
+        for step in traces[i].steps:
+            fr, fc = step.from_cell
+            if (
+                step.to_cell != (hr, hc)
+                or step.from_cell not in ((hr + 1, hc), (hr, hc + 1))
+                or grid[fr - 1][fc - 1] != step.entry
+            ):
+                raise InvariantViolationError(f"trace step {step} does not fit the grid")
+            grid[hr - 1][hc - 1] = step.entry
+            grid[fr - 1][fc - 1] = None
+            hr, hc = fr, fc
+            states.append((f"slide {step.entry} {step.direction} from ({fr},{fc})", Filling(grid)))
+        if traces[i].vacated_cell != (hr, hc):
+            raise InvariantViolationError(f"vacated cell {traces[i].vacated_cell} is not the empty cell")
+        _vacate(grid, hr - 1, hc - 1)
+        states.append((f"vacate ({hr},{hc})", Filling(grid)))
     return states
 
 
@@ -280,7 +255,7 @@ def evacuate(t: Filling) -> Filling:
     cur = t
     while cur.n_rows:
         e = cur.entry(1, 1)
-        cur, (trace,) = _rectify_cells(cur, 1, None)
+        cur, (trace,) = _rectify_cells(cur, 1)
         r, c = trace.vacated_cell
         out[r - 1][c - 1] = n - e
     if any(v is None for row in out for v in row):

@@ -11,7 +11,8 @@ corresponding coefficient conditions directly.
 
 The tableau enumerations are exhaustive backtracking searches in a fixed
 order (lexicographic by row-reading word) and are cached, since the
-verification harness revisits the same shapes many times.
+verification harness revisits the same shapes many times; semistandard
+Young tableaux are the complements of reverse ones.
 """
 
 from __future__ import annotations
@@ -175,36 +176,16 @@ def _column_heights(shape: tuple[int, ...]) -> list[int]:
 @lru_cache(maxsize=None)
 def enumerate_ssyt(shape: PartitionShape, max_entry: int) -> tuple[Filling, ...]:
     """All semistandard Young tableaux of the shape with entries <= max_entry,
-    ordered lexicographically by row-reading word."""
-    shape = tuple(shape)
-    if shape and not is_partition_shape(shape):
-        raise ValueError(f"{shape} is not a partition shape")
-    if max_entry < 1:
-        raise ValueError("max_entry must be >= 1")
-    heights = _column_heights(shape)
-    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
-    grid = [[0] * length for length in shape]
-    out: list[Filling] = []
+    ordered lexicographically by row-reading word.
 
-    def place(i: int) -> None:
-        if i == len(cells):
-            out.append(Filling([row[:] for row in grid]))
-            return
-        r, c = cells[i]
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        below = heights[c] - (r + 1)
-        hi = max_entry - below  # strictly increasing below needs that much room
-        for v in range(lo, hi + 1):
-            grid[r][c] = v
-            place(i + 1)
-        grid[r][c] = 0
-
-    place(0)
-    return tuple(out)
+    v -> max_entry + 1 - v maps them one to one onto the reverse SSYT of the
+    shape and reverses the order of the words.
+    """
+    top = max_entry + 1
+    return tuple(
+        Filling._trusted([top - v for v in row] for row in t.rows)
+        for t in reversed(enumerate_rssyt(tuple(shape), max_entry))
+    )
 
 
 @lru_cache(maxsize=None)

@@ -144,13 +144,6 @@ class Filling:
         v = row[c - 1]
         return 0 if v is None else v
 
-    def is_hole(self, r: int, c: int) -> bool:
-        return (
-            1 <= r <= len(self.rows)
-            and 1 <= c <= len(self.rows[r - 1])
-            and self.rows[r - 1][c - 1] is None
-        )
-
     def column(self, c: int) -> list[int]:
         """Non-hole entries of column c, top to bottom."""
         return [
@@ -165,9 +158,6 @@ class Filling:
             for c, v in enumerate(row, start=1):
                 if v is not None:
                     yield (r, c, v)
-
-    def has_holes(self) -> bool:
-        return any(v is None for row in self.rows for v in row)
 
     def __str__(self) -> str:
         return render_filling(self)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijection import _rho, _rho_inv, rho, rho_inv
 from .ct_rectify import _phi, eviction
@@ -146,9 +146,43 @@ def _rssyt_shape_units(max_cells: int) -> list[tuple]:
     return [("rssyt", shape) for m in range(1, max_cells + 1) for shape in partitions(m)]
 
 
+def _both_shape_units(max_cells: int) -> list[tuple]:
+    return _ct_shape_units(max_cells) + _rssyt_shape_units(max_cells)
+
+
+def _schur_units(max_cells: int) -> list[tuple]:
+    units: list[tuple] = [("fixed",)]
+    units.extend(("shape", shape) for m in range(1, max_cells + 1) for shape in partitions(m))
+    return units
+
+
 def _k_bounds(rows: int, k_lo: int, k_hi: int | None) -> range:
     hi = rows if k_hi is None else min(k_hi, rows)
     return range(max(k_lo, 1), hi + 1)
+
+
+# A property's ``subjects`` lists what one work unit checks: each subject
+# (an enumerated tableau, say) with its cases (the k to rectify), one
+# instance per case.  Its ``check`` takes the unit's kind, a subject and its
+# cases, and yields (instance, expected, actual) for each failing case.
+# Counting, collecting and errors are left to the driver, ``_check_unit``.
+
+_ENUMERATE = {"ct": enumerate_ct, "rssyt": enumerate_rssyt}
+_ONCE = (None,)
+
+
+def _each_tableau(unit: tuple, max_entry: int, _k_lo: int, _k_hi: int | None) -> Iterator:
+    kind, shape = unit
+    for x in _ENUMERATE[kind](shape, max_entry):
+        yield x, _ONCE
+
+
+def _each_tableau_and_k(unit: tuple, max_entry: int, k_lo: int, k_hi: int | None) -> Iterator:
+    kind, shape = unit
+    for x in _ENUMERATE[kind](shape, max_entry):
+        ks = _k_bounds(x.n_rows, k_lo, k_hi)
+        if ks:
+            yield x, ks
 
 
 # The roundtrip and commutativity checkers validate each enumerated tableau
@@ -156,163 +190,75 @@ def _k_bounds(rows: int, k_lo: int, k_hi: int | None) -> range:
 # every tableau a kernel produces is still checked once, as its output.
 
 
-def _check_roundtrip(args: tuple) -> tuple[int, list[Counterexample]]:
-    (kind, shape), max_entry, _k_lo, _k_hi = args
-    count = 0
-    ces: list[Counterexample] = []
-    if kind == "ct":
-        for u in enumerate_ct(shape, max_entry):
-            count += 1
-            try:
-                back = _rho_inv(rho(u))
-            except InvariantViolationError as exc:
-                ces.append(Counterexample(brief(u), brief(u), f"error: {exc}"))
-                continue
-            if back != u:
-                ces.append(Counterexample(brief(u), brief(u), brief(back)))
-    else:
-        for t in enumerate_rssyt(shape, max_entry):
-            count += 1
-            try:
-                back = _rho(rho_inv(t))
-            except InvariantViolationError as exc:
-                ces.append(Counterexample(brief(t), brief(t), f"error: {exc}"))
-                continue
-            if back != t:
-                ces.append(Counterexample(brief(t), brief(t), brief(back)))
-    return count, ces
+def _check_roundtrip(kind: str, x: Filling, _cases) -> Iterator[tuple[str, str, str]]:
+    back = _rho_inv(rho(x)) if kind == "ct" else _rho(rho_inv(x))
+    if back != x:
+        yield brief(x), brief(x), brief(back)
 
 
-def _check_commutativity(args: tuple) -> tuple[int, list[Counterexample]]:
-    (_, shape), max_entry, k_lo, k_hi = args
-    count = 0
-    ces: list[Counterexample] = []
-    for u in enumerate_ct(shape, max_entry):
-        ks = _k_bounds(u.n_rows, k_lo, k_hi)
-        if not ks:
-            continue
-        t = rho(u)
-        for k in ks:
-            count += 1
-            try:
-                expected = _rho_inv(_rectify_cells(t, k, None)[0])
-            except InvariantViolationError as exc:
-                ces.append(Counterexample(f"k={k}: {brief(u)}", f"error: {exc}", "-"))
-                continue
-            try:
-                actual = _phi(u, k, None)
-            except InvariantViolationError as exc:
-                ces.append(
-                    Counterexample(f"k={k}: {brief(u)}", brief(expected), f"error: {exc}")
-                )
-                continue
-            if actual != expected:
-                ces.append(Counterexample(f"k={k}: {brief(u)}", brief(expected), brief(actual)))
-    return count, ces
+def _check_commutativity(_kind: str, u: Filling, ks: range) -> Iterator[tuple[str, str, str]]:
+    t = rho(u)
+    for k in ks:
+        expected = _rho_inv(_rectify_cells(t, k)[0])
+        actual = _phi(u, k, None)
+        if actual != expected:
+            yield f"k={k}: {brief(u)}", brief(expected), brief(actual)
 
 
-def _check_lemma41(args: tuple) -> tuple[int, list[Counterexample]]:
-    (_, shape), max_entry, k_lo, k_hi = args
-    count = 0
-    ces: list[Counterexample] = []
-    for t in enumerate_rssyt(shape, max_entry):
-        ks = _k_bounds(t.n_rows, k_lo, k_hi)
-        if not ks:
-            continue
-        for k in ks:
-            count += 1
-            _, traces = rectify_k(t, k)
-            report = shifting_entries(traces)
-            bad = {
-                c: seq
-                for c, seq in report.items()
-                if any(seq[i] <= seq[i + 1] for i in range(len(seq) - 1))
-            }
-            if bad:
-                ces.append(
-                    Counterexample(
-                        f"k={k}: {brief(t)}",
-                        "strictly decreasing round-ordered shifts per column",
-                        _format_report(bad),
-                    )
-                )
-    return count, ces
-
-
-def _check_lemma42(args: tuple) -> tuple[int, list[Counterexample]]:
-    (_, shape), max_entry, k_lo, k_hi = args
-    count = 0
-    ces: list[Counterexample] = []
-    for t in enumerate_rssyt(shape, max_entry):
-        ks = _k_bounds(t.n_rows, k_lo, k_hi)
-        if not ks:
-            continue
-        for k in ks:
-            count += 1
-            _, traces = rectify_k(t, k)
-            ev = {c: sorted(v, reverse=True) for c, v in eviction(t, k).items()}
-            tr = {c: sorted(v, reverse=True) for c, v in shifting_entries(traces).items()}
-            if ev != tr:
-                ces.append(
-                    Counterexample(f"k={k}: {brief(t)}", _format_report(tr), _format_report(ev))
-                )
-    return count, ces
-
-
-def _check_lemma43(args: tuple) -> tuple[int, list[Counterexample]]:
-    (_, shape), max_entry, k_lo, k_hi = args
-    count = 0
-    ces: list[Counterexample] = []
-    for t in enumerate_rssyt(shape, max_entry):
-        ks = _k_bounds(t.n_rows, k_lo, k_hi)
-        if not ks:
-            continue
-        try:
-            u = rho_inv(t)
-        except InvariantViolationError as exc:
-            count += len(ks)
-            ces.append(Counterexample(brief(t), "insertion produces a valid tableau", f"error: {exc}"))
-            continue
-        for k in ks:
-            count += 1
-            ev = {c: sorted(v, reverse=True) for c, v in eviction(t, k).items()}
-            localized: dict[int, list[int]] = {}
-            for row in u.rows[u.n_rows - k:]:
-                for c in range(2, len(row) + 1):
-                    localized.setdefault(c, []).append(row[c - 1])
-            localized = {c: sorted(v, reverse=True) for c, v in localized.items()}
-            if ev != localized:
-                ces.append(
-                    Counterexample(
-                        f"k={k}: {brief(t)}", _format_report(localized), _format_report(ev)
-                    )
-                )
-    return count, ces
-
-
-def _check_dominance(args: tuple) -> tuple[int, list[Counterexample]]:
-    (_, shape), max_entry, _k_lo, _k_hi = args
-    count = 0
-    ces: list[Counterexample] = []
-    for t in enumerate_rssyt(shape, max_entry):
-        count += 1
-        _, trace = rectify_once(t)
-        shifts = trace.left_shifts()
-        not_dominant = [(r, c) for r, c, _e in shifts if not is_diagonally_dominant(t, r, c)]
-        if not_dominant:
-            ces.append(
-                Counterexample(
-                    brief(t),
-                    "every left-shifted entry diagonally dominant at its source",
-                    f"not dominant at {not_dominant}",
-                )
+def _check_lemma41(_kind: str, t: Filling, ks: range) -> Iterator[tuple[str, str, str]]:
+    for k in ks:
+        report = shifting_entries(rectify_k(t, k)[1])
+        bad = {
+            c: seq
+            for c, seq in report.items()
+            if any(seq[i] <= seq[i + 1] for i in range(len(seq) - 1))
+        }
+        if bad:
+            yield (
+                f"k={k}: {brief(t)}",
+                "strictly decreasing round-ordered shifts per column",
+                _format_report(bad),
             )
-            continue
-        try:
-            dominant_path(t)  # raises if it disagrees with the slide trace
-        except InvariantViolationError as exc:
-            ces.append(Counterexample(brief(t), "dominant path equals trace shifts", f"error: {exc}"))
-    return count, ces
+
+
+def _check_lemma42(_kind: str, t: Filling, ks: range) -> Iterator[tuple[str, str, str]]:
+    for k in ks:
+        _, traces = rectify_k(t, k)
+        ev = {c: sorted(v, reverse=True) for c, v in eviction(t, k).items()}
+        tr = {c: sorted(v, reverse=True) for c, v in shifting_entries(traces).items()}
+        if ev != tr:
+            yield f"k={k}: {brief(t)}", _format_report(tr), _format_report(ev)
+
+
+def _check_lemma43(_kind: str, t: Filling, ks: range) -> Iterator[tuple[str, str, str]]:
+    u = rho_inv(t)
+    for k in ks:
+        ev = {c: sorted(v, reverse=True) for c, v in eviction(t, k).items()}
+        localized: dict[int, list[int]] = {}
+        for row in u.rows[u.n_rows - k:]:
+            for c in range(2, len(row) + 1):
+                localized.setdefault(c, []).append(row[c - 1])
+        localized = {c: sorted(v, reverse=True) for c, v in localized.items()}
+        if ev != localized:
+            yield f"k={k}: {brief(t)}", _format_report(localized), _format_report(ev)
+
+
+def _check_dominance(_kind: str, t: Filling, _cases) -> Iterator[tuple[str, str, str]]:
+    _, trace = rectify_once(t)
+    shifts = trace.left_shifts()
+    not_dominant = [(r, c) for r, c, _e in shifts if not is_diagonally_dominant(t, r, c)]
+    if not_dominant:
+        yield (
+            brief(t),
+            "every left-shifted entry diagonally dominant at its source",
+            f"not dominant at {not_dominant}",
+        )
+    elif (path := dominant_path(t)) != shifts:
+        yield (
+            brief(t),
+            "dominant path equals trace shifts",
+            f"dominant path {path} disagrees with slide shifts {shifts}",
+        )
 
 
 def _weight_sum_ct(shape_total: tuple[int, ...], max_entry: int) -> Polynomial:
@@ -325,11 +271,16 @@ def _weight_sum_ct(shape_total: tuple[int, ...], max_entry: int) -> Polynomial:
     return acc
 
 
-def _check_schur(args: tuple) -> tuple[int, list[Counterexample]]:
-    unit, max_entry, _k_lo, _k_hi = args
-    count = 0
-    ces: list[Counterexample] = []
+def _schur_subjects(unit: tuple, max_entry: int, _k_lo: int, _k_hi: int | None) -> list[tuple]:
+    # The four fixed identities; or, for a shape, its weight sums in 1 to
+    # max_entry variables and the symmetry of its Schur polynomial.
     if unit[0] == "fixed":
+        return [(None, range(4))]
+    return [((unit[1], max_entry), range(max_entry + 1))]
+
+
+def _check_schur(kind: str, subject, _cases) -> Iterator[tuple[str, str, str]]:
+    if kind == "fixed":
         s21 = schur_expand((2, 1), 3)
         m21 = monomial_sym_expand((2, 1), 3)
         m111 = monomial_sym_expand((1, 1, 1), 3)
@@ -343,66 +294,69 @@ def _check_schur(args: tuple) -> tuple[int, list[Counterexample]]:
             ("s21 has 8 terms counted with multiplicity", sum(s21.terms.values()) == 8),
         ]
         for label, ok in checks:
-            count += 1
             if not ok:
-                ces.append(Counterexample(label, "identity holds", "identity fails"))
-        return count, ces
+                yield label, "identity holds", "identity fails"
+        return
 
-    shape = unit[1]
+    shape, max_entry = subject
     for n in range(1, max_entry + 1):
-        count += 1
         lhs = _weight_sum_ct(shape, n)
         rhs = Polynomial.from_monomials(
             n, ((weight_monomial(t, n), 1) for t in enumerate_rssyt(shape, n))
         )
         if lhs != rhs:
-            ces.append(
-                Counterexample(
-                    f"shape {shape}, {n} variables",
-                    "composition-tableau and reverse-SSYT weight sums agree",
-                    "sums differ",
-                )
+            yield (
+                f"shape {shape}, {n} variables",
+                "composition-tableau and reverse-SSYT weight sums agree",
+                "sums differ",
             )
-    count += 1
     s = schur_expand(shape, max_entry)
     if not (is_symmetric(s) and is_quasisymmetric(s)):
-        ces.append(
-            Counterexample(
-                f"schur {shape}, {max_entry} variables",
-                "symmetric and quasisymmetric",
-                f"symmetric={is_symmetric(s)} quasisymmetric={is_quasisymmetric(s)}",
-            )
+        yield (
+            f"schur {shape}, {max_entry} variables",
+            "symmetric and quasisymmetric",
+            f"symmetric={is_symmetric(s)} quasisymmetric={is_quasisymmetric(s)}",
         )
-    return count, ces
-
-
-def _schur_units(max_cells: int) -> list[tuple]:
-    units: list[tuple] = [("fixed",)]
-    units.extend(("shape", shape) for m in range(1, max_cells + 1) for shape in partitions(m))
-    return units
-
-
-def _both_shape_units(max_cells: int) -> list[tuple]:
-    return _ct_shape_units(max_cells) + _rssyt_shape_units(max_cells)
 
 
 @dataclass(frozen=True)
 class _Property:
     units: Callable[[int], list[tuple]]
-    checker: Callable[[tuple], tuple[int, list[Counterexample]]]
+    subjects: Callable[[tuple, int, int, int | None], Iterable[tuple[object, Sequence]]]
+    check: Callable[[str, object, Sequence], Iterable[tuple[str, str, str]]]
 
 
 PROPERTIES: dict[str, _Property] = {
-    "roundtrip": _Property(_both_shape_units, _check_roundtrip),
-    "commutativity": _Property(_ct_shape_units, _check_commutativity),
-    "lemma41": _Property(_rssyt_shape_units, _check_lemma41),
-    "lemma42": _Property(_rssyt_shape_units, _check_lemma42),
-    "lemma43": _Property(_rssyt_shape_units, _check_lemma43),
-    "dominance": _Property(_rssyt_shape_units, _check_dominance),
-    "schur-identities": _Property(_schur_units, _check_schur),
+    "roundtrip": _Property(_both_shape_units, _each_tableau, _check_roundtrip),
+    "commutativity": _Property(_ct_shape_units, _each_tableau_and_k, _check_commutativity),
+    "lemma41": _Property(_rssyt_shape_units, _each_tableau_and_k, _check_lemma41),
+    "lemma42": _Property(_rssyt_shape_units, _each_tableau_and_k, _check_lemma42),
+    "lemma43": _Property(_rssyt_shape_units, _each_tableau_and_k, _check_lemma43),
+    "dominance": _Property(_rssyt_shape_units, _each_tableau, _check_dominance),
+    "schur-identities": _Property(_schur_units, _schur_subjects, _check_schur),
 }
 
 PROPERTY_NAMES = tuple(PROPERTIES)
+
+
+def _check_unit(args: tuple) -> tuple[int, list[Counterexample]]:
+    # The driver: one property over one work unit.  An
+    # InvariantViolationError while checking a subject becomes that
+    # subject's counterexample, its cases still count as instances, and the
+    # sweep goes on.
+    name, unit, max_entry, k_lo, k_hi = args
+    prop = PROPERTIES[name]
+    count = 0
+    ces: list[Counterexample] = []
+    for subject, cases in prop.subjects(unit, max_entry, k_lo, k_hi):
+        count += len(cases)
+        try:
+            for failure in prop.check(unit[0], subject, cases):
+                ces.append(Counterexample(*failure))
+        except InvariantViolationError as exc:
+            label = brief(subject) if isinstance(subject, Filling) else str(subject)
+            ces.append(Counterexample(label, "no invariant violation", f"error: {exc}"))
+    return count, ces
 
 
 def run_property(
@@ -426,8 +380,7 @@ def run_property(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     k_lo, k_hi = (1, None) if k_range is None else k_range
-    prop = PROPERTIES[name]
-    arglist = [(unit, max_entry, k_lo, k_hi) for unit in prop.units(max_cells)]
+    arglist = [(name, unit, max_entry, k_lo, k_hi) for unit in PROPERTIES[name].units(max_cells)]
     workers = min(jobs, os.cpu_count() or 1, len(arglist))
     started = time.perf_counter()
     if workers > 1:
@@ -436,9 +389,9 @@ def run_property(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(prop.checker, arglist))
+            results = list(pool.map(_check_unit, arglist))
     else:
-        results = [prop.checker(args) for args in arglist]
+        results = [_check_unit(args) for args in arglist]
     instances = sum(count for count, _ in results)
     counterexamples = [ce for _, ces in results for ce in ces]
     return VerifyReport(
@@ -450,3 +403,4 @@ def run_property(
         counterexamples,
         time.perf_counter() - started,
     )
+

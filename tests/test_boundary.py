@@ -98,6 +98,31 @@ def test_verify_reports_corrupted_kernel_output(monkeypatch):
     assert any("did not produce" in ce.actual for ce in report.counterexamples)
 
 
+# The first kernel output each property checks, by the message of its check.
+FIRST_KERNEL_MESSAGE = {
+    "commutativity": "column sort did not produce a reverse SSYT",
+    "lemma41": "slides broke the tableau rules",
+    "lemma42": "slides broke the tableau rules",
+    "lemma43": "insertion did not produce a composition tableau",
+    "dominance": "slides broke the tableau rules",
+}
+
+
+@pytest.mark.parametrize("name", FIRST_KERNEL_MESSAGE)
+def test_every_kernel_property_reports_corrupted_kernel_output(monkeypatch, name):
+    # The error becomes a counterexample instead of escaping run_property,
+    # and the instances it prevents still count.  schur-identities calls no
+    # kernel and is not run here: the cached enumerate_ssyt builds through
+    # the patched constructor.
+    instances = run_property(name, 3, 3).instances
+    monkeypatch.setattr(Filling, "_trusted", classmethod(lambda cls, rows: Filling(list(rows)[::-1])))
+    report = run_property(name, 3, 3)
+    assert report.instances == instances
+    assert not report.ok
+    assert all(ce.actual.startswith("error: ") for ce in report.counterexamples)
+    assert any(FIRST_KERNEL_MESSAGE[name] in ce.actual for ce in report.counterexamples)
+
+
 def test_phi_equals_the_last_phi_step():
     for m in range(1, 5):
         for shape in compositions(m):

@@ -144,6 +144,20 @@ class TestRectify:
         assert "== slide 7 left from (1,2)" in out
         assert "== vacate (4,3)" in out
 
+    @pytest.mark.parametrize(
+        "kind, source, golden",
+        [
+            ("rssyt", "rssyt_eviction.txt", "rssyt_eviction_trace3.txt"),
+            ("ct", "ct_phi3_input.txt", "ct_phi3_trace.txt"),
+        ],
+    )
+    def test_three_cell_trace_golden(self, capsys, kind, source, golden):
+        code, out, _ = run(
+            capsys, "rectify", "--kind", kind, "--cells", "3", "--trace", fx(source)
+        )
+        assert code == 0
+        assert out == (FIXTURES / golden).read_text()
+
     def test_bad_k_exits_64(self, capsys):
         code, _, err = run(
             capsys, "rectify", "--kind", "rssyt", "--cells", "9", fx("rssyt_t.txt")

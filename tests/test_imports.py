@@ -44,6 +44,21 @@ def test_tableau_commands_load_no_harness_or_pool(argv):
     assert run_fresh(code) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rectify", "--kind", "ct", "--cells", "3", str(FIXTURES / "ct_phi3_input.txt")],
+        ["eviction", "--cells", "3", str(FIXTURES / "rssyt_eviction.txt")],
+    ],
+)
+def test_ct_rectify_commands_load_no_slides(argv):
+    code = (
+        f"import json, sys\nfrom ctrect.cli import main\nassert main({argv!r}) == 0\n"
+        "print(json.dumps('ctrect.jeu_de_taquin' in sys.modules))"
+    )
+    assert run_fresh(code) is False
+
+
 def test_serial_verify_loads_no_pool():
     code = (
         "from ctrect.verify import run_property\n"
@@ -66,7 +81,7 @@ print(json.dumps({"names": names, "wrong": wrong}))
 """
     out = run_fresh(code)
     assert out["wrong"] == []
-    assert len(out["names"]) == len(set(out["names"])) == 56
+    assert len(out["names"]) == len(set(out["names"])) == 55
     assert {"rho", "phi", "Filling", "run_property", "PROPERTY_NAMES"} <= set(out["names"])
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from ctrect import (
     Filling,
+    InvariantViolationError,
+    SlideTrace,
     dominant_path,
     evacuate,
     is_diagonally_dominant,
@@ -164,6 +166,14 @@ class TestInvariants:
                     rows = [r for r, _, _ in shifts]
                     assert rows == sorted(rows)
                     assert replay(t, trace)[-1][1] == result
+                    for k in range(1, t.n_rows + 1):
+                        out, traces = rectify_k(t, k)
+                        assert replay(t, *traces)[-1][1] == out, (t, k)
+
+    def test_replay_rejects_a_trace_that_empties_a_row_above_another(self):
+        forged = SlideTrace(2, (), (1, 1))
+        with pytest.raises(InvariantViolationError, match="row 1 emptied above a nonempty row"):
+            replay(Filling([[2], [1]]), forged)
 
 
 class TestEvacuate:

@@ -26,6 +26,14 @@ def test_instance_counts_pinned():
     assert run_property("dominance", 4, 4).instances == 180
 
 
+def test_dominance_reports_a_path_that_disagrees_with_the_trace(monkeypatch):
+    monkeypatch.setattr(verify, "dominant_path", lambda t: [(1, 2, 99)])
+    report = run_property("dominance", 3, 3)
+    assert report.counterexamples
+    assert all(ce.expected == "dominant path equals trace shifts" for ce in report.counterexamples)
+    assert report.counterexamples[0].actual.startswith("dominant path [(1, 2, 99)] disagrees with slide shifts ")
+
+
 def test_k_range_restriction():
     full = run_property("commutativity", 4, 4)
     only_k1 = run_property("commutativity", 4, 4, k_range=(1, 1))
