@@ -149,7 +149,11 @@ def eviction(t: Filling, k: int) -> dict[int, list[int]]:
     Returns column index -> shifting entries in decreasing order; columns
     without shifting entries are omitted.
     """
-    t = _validate_k("rssyt", t, k)
+    return _eviction(_validate_k("rssyt", t, k), k)
+
+
+def _eviction(t: Filling, k: int) -> dict[int, list[int]]:
+    # The kernel: t must be a valid reverse SSYT and 1 <= k <= t.n_rows.
     survivors = t.column(1)[k:]
     report: dict[int, list[int]] = {}
     for c in range(2, t.width + 1):

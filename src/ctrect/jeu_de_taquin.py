@@ -181,9 +181,11 @@ def dominant_path(t: Filling) -> list[tuple[int, int, int]]:
     single round this is exactly the column shifts of :func:`rectify_once`;
     the ``dominance`` property of the verification harness checks that.
     """
-    t = validate("rssyt", t)
-    if t.n_rows == 0:
-        return []
+    return _dominant_path(validate("rssyt", t))
+
+
+def _dominant_path(t: Filling) -> list[tuple[int, int, int]]:
+    # The kernel: t must be a valid reverse SSYT (an empty one has no path).
     path: list[tuple[int, int, int]] = []
     min_row = 1
     for c in range(2, t.width + 1):
@@ -213,7 +215,7 @@ def replay(t: Filling, *traces: SlideTrace) -> list[tuple[str, Filling]]:
     """
     grid: list[list[int | None]] = [list(row) for row in t.rows]
     for i, trace in enumerate(traces):
-        if grid[i][0] != trace.removed_entry:
+        if i >= len(grid) or not grid[i] or grid[i][0] != trace.removed_entry:
             raise InvariantViolationError(f"trace {i + 1} does not remove the entry at ({i + 1},1)")
         grid[i][0] = None
     states = [(f"remove {len(traces)} cell(s) from column 1", Filling(grid))]
@@ -224,6 +226,8 @@ def replay(t: Filling, *traces: SlideTrace) -> list[tuple[str, Filling]]:
             if (
                 step.to_cell != (hr, hc)
                 or step.from_cell not in ((hr + 1, hc), (hr, hc + 1))
+                or fr > len(grid)
+                or fc > len(grid[fr - 1])
                 or grid[fr - 1][fc - 1] != step.entry
             ):
                 raise InvariantViolationError(f"trace step {step} does not fit the grid")

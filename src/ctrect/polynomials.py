@@ -30,7 +30,6 @@ from .tableaux import (
     ParseError,
     PartitionShape,
     is_partition_shape,
-    weight_of,
 )
 
 
@@ -272,11 +271,19 @@ def enumerate_ct(shape: CompositionShape, max_entry: int) -> tuple[Filling, ...]
 
 
 def weight_monomial(f: Filling, nvars: int) -> tuple[int, ...]:
-    """Exponent vector of the tableau's weight, padded to nvars variables."""
-    w = weight_of(f)
-    if len(w) > nvars:
-        raise ValueError(f"tableau uses entries above {nvars}")
-    return tuple(w) + (0,) * (nvars - len(w))
+    """Exponent vector of the tableau's weight, padded to nvars variables.
+
+    Holes and zero entries are not counted, as in ``weight_of``.
+    """
+    counts = [0] * nvars
+    try:
+        for row in f.rows:
+            for v in row:
+                if v:
+                    counts[v - 1] += 1
+    except IndexError:
+        raise ValueError(f"tableau uses entries above {nvars}") from None
+    return tuple(counts)
 
 
 def schur_expand(shape: PartitionShape, nvars: int) -> Polynomial:

@@ -33,13 +33,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijection import _rho, _rho_inv, rho, rho_inv
-from .ct_rectify import _phi, eviction
+from .ct_rectify import _eviction, _phi
 from .jeu_de_taquin import (
+    _dominant_path,
     _rectify_cells,
     is_diagonally_dominant,
-    dominant_path,
-    rectify_k,
-    rectify_once,
     shifting_entries,
 )
 from .polynomials import (
@@ -56,7 +54,7 @@ from .polynomials import (
     schur_expand,
     weight_monomial,
 )
-from .tableaux import Filling, InvariantViolationError
+from .tableaux import Filling, InvariantViolationError, validate
 
 MAX_RENDERED_COUNTEREXAMPLES = 10
 
@@ -185,9 +183,10 @@ def _each_tableau_and_k(unit: tuple, max_entry: int, k_lo: int, k_hi: int | None
             yield x, ks
 
 
-# The roundtrip and commutativity checkers validate each enumerated tableau
-# once, through their first public call, and then call the trusted kernels;
-# every tableau a kernel produces is still checked once, as its output.
+# Every tableau checker validates each enumerated tableau once, through its
+# first public call or ``validate``, and then calls the trusted kernels for
+# every k; every tableau a kernel produces is still checked once, as its
+# output.
 
 
 def _check_roundtrip(kind: str, x: Filling, _cases) -> Iterator[tuple[str, str, str]]:
@@ -206,8 +205,9 @@ def _check_commutativity(_kind: str, u: Filling, ks: range) -> Iterator[tuple[st
 
 
 def _check_lemma41(_kind: str, t: Filling, ks: range) -> Iterator[tuple[str, str, str]]:
+    validate("rssyt", t)
     for k in ks:
-        report = shifting_entries(rectify_k(t, k)[1])
+        report = shifting_entries(_rectify_cells(t, k)[1])
         bad = {
             c: seq
             for c, seq in report.items()
@@ -222,9 +222,10 @@ def _check_lemma41(_kind: str, t: Filling, ks: range) -> Iterator[tuple[str, str
 
 
 def _check_lemma42(_kind: str, t: Filling, ks: range) -> Iterator[tuple[str, str, str]]:
+    validate("rssyt", t)
     for k in ks:
-        _, traces = rectify_k(t, k)
-        ev = {c: sorted(v, reverse=True) for c, v in eviction(t, k).items()}
+        _, traces = _rectify_cells(t, k)
+        ev = {c: sorted(v, reverse=True) for c, v in _eviction(t, k).items()}
         tr = {c: sorted(v, reverse=True) for c, v in shifting_entries(traces).items()}
         if ev != tr:
             yield f"k={k}: {brief(t)}", _format_report(tr), _format_report(ev)
@@ -233,7 +234,7 @@ def _check_lemma42(_kind: str, t: Filling, ks: range) -> Iterator[tuple[str, str
 def _check_lemma43(_kind: str, t: Filling, ks: range) -> Iterator[tuple[str, str, str]]:
     u = rho_inv(t)
     for k in ks:
-        ev = {c: sorted(v, reverse=True) for c, v in eviction(t, k).items()}
+        ev = {c: sorted(v, reverse=True) for c, v in _eviction(t, k).items()}
         localized: dict[int, list[int]] = {}
         for row in u.rows[u.n_rows - k:]:
             for c in range(2, len(row) + 1):
@@ -244,7 +245,8 @@ def _check_lemma43(_kind: str, t: Filling, ks: range) -> Iterator[tuple[str, str
 
 
 def _check_dominance(_kind: str, t: Filling, _cases) -> Iterator[tuple[str, str, str]]:
-    _, trace = rectify_once(t)
+    validate("rssyt", t)
+    _, (trace,) = _rectify_cells(t, 1)
     shifts = trace.left_shifts()
     not_dominant = [(r, c) for r, c, _e in shifts if not is_diagonally_dominant(t, r, c)]
     if not_dominant:
@@ -253,7 +255,7 @@ def _check_dominance(_kind: str, t: Filling, _cases) -> Iterator[tuple[str, str,
             "every left-shifted entry diagonally dominant at its source",
             f"not dominant at {not_dominant}",
         )
-    elif (path := dominant_path(t)) != shifts:
+    elif (path := _dominant_path(t)) != shifts:
         yield (
             brief(t),
             "dominant path equals trace shifts",

@@ -7,6 +7,7 @@ import pytest
 from ctrect import (
     Filling,
     InvariantViolationError,
+    SlideStep,
     SlideTrace,
     dominant_path,
     evacuate,
@@ -174,6 +175,16 @@ class TestInvariants:
         forged = SlideTrace(2, (), (1, 1))
         with pytest.raises(InvariantViolationError, match="row 1 emptied above a nonempty row"):
             replay(Filling([[2], [1]]), forged)
+
+    def test_replay_rejects_a_step_from_outside_the_grid(self):
+        forged = SlideTrace(1, (SlideStep((2, 1), (1, 1), 5, "up"),), (2, 1))
+        with pytest.raises(InvariantViolationError, match="does not fit the grid"):
+            replay(Filling([[1]]), forged)
+
+    def test_replay_rejects_more_traces_than_rows(self):
+        empty = SlideTrace(1, (), (1, 1))
+        with pytest.raises(InvariantViolationError, match=r"trace 2 does not remove the entry at \(2,1\)"):
+            replay(Filling([[1]]), empty, empty)
 
 
 class TestEvacuate:

@@ -22,8 +22,10 @@ from ctrect import (
     partitions,
     render_polynomial,
     schur_expand,
+    weight_monomial,
+    weight_of,
 )
-from ctrect.polynomials import _rearrangements
+from ctrect.polynomials import _rearrangements, compositions
 
 
 class TestEnumeration:
@@ -208,6 +210,52 @@ class TestPredicates:
         p = monomial_sym_expand(shape, nvars)
         assert is_symmetric(p)
         assert is_quasisymmetric(p)  # Sym is contained in Qsym
+
+
+def _padded_weight(f, nvars):
+    # Reference: the frequency vector of weight_of, padded to nvars.
+    w = weight_of(f)
+    if len(w) > nvars:
+        raise ValueError(f"tableau uses entries above {nvars}")
+    return w + (0,) * (nvars - len(w))
+
+
+class TestWeightMonomial:
+    def test_matches_padded_weight_of_on_every_small_tableau(self):
+        checked = 0
+        for m in range(1, 6):
+            shapes = [(enumerate_ssyt, p) for p in partitions(m)]
+            shapes += [(enumerate_rssyt, p) for p in partitions(m)]
+            shapes += [(enumerate_ct, c) for c in compositions(m)]
+            for enumerate_kind, shape in shapes:
+                for f in enumerate_kind(shape, 5):
+                    top = max(v for row in f.rows for v in row)
+                    for nvars in range(top, 7):
+                        assert weight_monomial(f, nvars) == _padded_weight(f, nvars), (f, nvars)
+                        checked += 1
+        assert checked == 8697
+
+    @pytest.mark.parametrize(
+        "f, nvars",
+        [
+            (Filling([[3, None], [None]]), 4),
+            (Filling([[2, 0, 1], [0]]), 2),
+            (Filling([[None]]), 0),
+            (Filling(), 0),
+            (Filling(), 3),
+            (Filling([[]]), 2),
+        ],
+    )
+    def test_holes_zeros_and_empty_fillings(self, f, nvars):
+        assert weight_monomial(f, nvars) == _padded_weight(f, nvars)
+
+    @pytest.mark.parametrize("f, nvars", [(Filling([[4, 1]]), 3), (Filling([[1]]), 0), (Filling([[2, None]]), 1)])
+    def test_entry_above_nvars(self, f, nvars):
+        with pytest.raises(ValueError) as new:
+            weight_monomial(f, nvars)
+        with pytest.raises(ValueError) as ref:
+            _padded_weight(f, nvars)
+        assert str(new.value) == str(ref.value) == f"tableau uses entries above {nvars}"
 
 
 class TestPolynomialType:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from ctrect import run_property, verify
+from ctrect import run_property, tableaux, verify
 from ctrect.verify import PROPERTY_NAMES, brief
-from ctrect import Filling
+from ctrect import Filling, InvalidTableauError
 
 
 ALL_GREEN_BOUNDS = (4, 4)
@@ -27,11 +27,45 @@ def test_instance_counts_pinned():
 
 
 def test_dominance_reports_a_path_that_disagrees_with_the_trace(monkeypatch):
-    monkeypatch.setattr(verify, "dominant_path", lambda t: [(1, 2, 99)])
+    monkeypatch.setattr(verify, "_dominant_path", lambda t: [(1, 2, 99)])
     report = run_property("dominance", 3, 3)
     assert report.counterexamples
     assert all(ce.expected == "dominant path equals trace shifts" for ce in report.counterexamples)
     assert report.counterexamples[0].actual.startswith("dominant path [(1, 2, 99)] disagrees with slide shifts ")
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [
+        # 180 reverse SSYT at 4/4, each validated once, plus one output
+        # check per rectification (312 (t, k) instances; 180 for
+        # dominance's k = 1) or per rho_inv (180, lemma43).
+        ("lemma41", 180 + 312),
+        ("lemma42", 180 + 312),
+        ("lemma43", 180 + 180),
+        ("dominance", 180 + 180),
+    ],
+)
+def test_each_enumerated_tableau_is_validated_once(monkeypatch, name, calls):
+    real = tableaux.violations
+    seen = []
+
+    def counting(kind, f):
+        seen.append(kind)
+        return real(kind, f)
+
+    monkeypatch.setattr(tableaux, "violations", counting)
+    run_property(name, 4, 4)
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize(
+    "check",
+    [verify._check_lemma41, verify._check_lemma42, verify._check_lemma43, verify._check_dominance],
+)
+def test_checkers_reject_an_invalid_reverse_ssyt(check):
+    with pytest.raises(InvalidTableauError):
+        list(check("rssyt", Filling([[1, 2]]), range(1, 2)))
 
 
 def test_k_range_restriction():
