@@ -42,10 +42,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        source = "stdin" if path == "-" else path
+        raise ParseError(f"{source}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _read_tableau(path: str) -> Filling:

@@ -9,10 +9,15 @@ monomial quasisymmetric polynomials (sum over order-preserving placements of
 the exponent sequence).  ``is_symmetric`` and ``is_quasisymmetric`` test the
 corresponding coefficient conditions directly.
 
-The tableau enumerations are exhaustive backtracking searches in a fixed
-order (lexicographic by row-reading word) and are cached, since the
-verification harness revisits the same shapes many times; semistandard
-Young tableaux are the complements of reverse ones.
+Reverse SSYT and composition tableaux come from one backtracker, which
+fills the cells in row-reading order from per-cell candidates, so both are
+listed lexicographically by row-reading word; semistandard Young tableaux
+are the complements of reverse ones.  The three enumerators are cached.
+The cache pays off when several ``verify`` properties run in one process:
+at 6 cells and entries <= 6, ``commutativity`` alone hits it 0 times,
+``roundtrip`` then ``commutativity`` 63 times, and the four reverse-SSYT
+properties then ``schur-identities`` 146 times (``schur-identities`` alone,
+30 times).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .tableaux import (
     CompositionShape,
@@ -137,45 +142,63 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(nvars, terms)
 
 
-def partitions(n: int) -> list[PartitionShape]:
-    """All partitions of n, lexicographically ascending."""
-
+def _shapes(n: int, partition: bool) -> list[tuple[int, ...]]:
+    # Parts first to last, each from 1 up; a partition caps each part at the
+    # one before it.
     def gen(remaining: int, cap: int) -> list[tuple[int, ...]]:
         if remaining == 0:
             return [()]
-        shapes = []
-        for first in range(1, min(remaining, cap) + 1):
-            for rest in gen(remaining - first, first):
-                shapes.append((first,) + rest)
-        return shapes
+        return [
+            (first,) + rest
+            for first in range(1, min(remaining, cap) + 1)
+            for rest in gen(remaining - first, first if partition else n)
+        ]
 
     return gen(n, n)
 
 
+def partitions(n: int) -> list[PartitionShape]:
+    """All partitions of n, lexicographically ascending."""
+    return _shapes(n, partition=True)
+
+
 def compositions(n: int) -> list[CompositionShape]:
     """All compositions of n, lexicographically ascending."""
-
-    def gen(remaining: int) -> list[tuple[int, ...]]:
-        if remaining == 0:
-            return [()]
-        shapes = []
-        for first in range(1, remaining + 1):
-            for rest in gen(remaining - first):
-                shapes.append((first,) + rest)
-        return shapes
-
-    return gen(n)
+    return _shapes(n, partition=False)
 
 
-def _column_heights(shape: tuple[int, ...]) -> list[int]:
-    width = max(shape, default=0)
-    return [sum(1 for part in shape if part > c) for c in range(width)]
+def _fillings(
+    shape: tuple[int, ...],
+    max_entry: int,
+    choices: Callable[[list[list[int]], int, int], Iterable[int]],
+) -> tuple[Filling, ...]:
+    """Every filling of ``shape`` that puts at each cell, in row-reading
+    order, a value ``choices(grid, r, c)`` offers.  ``grid`` holds the values
+    placed before (r, c); later cells hold stale ones.  Ascending choices
+    give the fillings in lexicographic order of their row-reading words."""
+    if max_entry < 1:
+        raise ValueError("max_entry must be >= 1")
+    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
+    grid = [[0] * length for length in shape]
+    out: list[Filling] = []
+
+    def place(i: int) -> None:
+        if i == len(cells):
+            out.append(Filling([row[:] for row in grid]))
+            return
+        r, c = cells[i]
+        for v in choices(grid, r, c):
+            grid[r][c] = v
+            place(i + 1)
+
+    place(0)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def enumerate_ssyt(shape: PartitionShape, max_entry: int) -> tuple[Filling, ...]:
-    """All semistandard Young tableaux of the shape with entries <= max_entry,
-    ordered lexicographically by row-reading word.
+    """All semistandard Young tableaux of the shape (a tuple) with entries <=
+    max_entry, ordered lexicographically by row-reading word.
 
     v -> max_entry + 1 - v maps them one to one onto the reverse SSYT of the
     shape and reverses the order of the words.
@@ -183,91 +206,54 @@ def enumerate_ssyt(shape: PartitionShape, max_entry: int) -> tuple[Filling, ...]
     top = max_entry + 1
     return tuple(
         Filling._trusted([top - v for v in row] for row in t.rows)
-        for t in reversed(enumerate_rssyt(tuple(shape), max_entry))
+        for t in reversed(enumerate_rssyt(shape, max_entry))
     )
 
 
 @lru_cache(maxsize=None)
 def enumerate_rssyt(shape: PartitionShape, max_entry: int) -> tuple[Filling, ...]:
-    """All reverse semistandard Young tableaux of the shape with entries <=
-    max_entry, ordered lexicographically by row-reading word."""
-    shape = tuple(shape)
+    """All reverse semistandard Young tableaux of the shape (a tuple) with
+    entries <= max_entry, ordered lexicographically by row-reading word."""
     if shape and not is_partition_shape(shape):
         raise ValueError(f"{shape} is not a partition shape")
-    if max_entry < 1:
-        raise ValueError("max_entry must be >= 1")
-    heights = _column_heights(shape)
-    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
-    grid = [[0] * length for length in shape]
-    out: list[Filling] = []
+    heights = [sum(part > c for part in shape) for c in range(max(shape, default=0))]
 
-    def place(i: int) -> None:
-        if i == len(cells):
-            out.append(Filling([row[:] for row in grid]))
-            return
-        r, c = cells[i]
+    def choices(grid: list[list[int]], r: int, c: int) -> range:
+        # Rows weakly decrease, columns strictly; the heights[c] - r - 1
+        # cells below need values under this one.
         hi = max_entry
         if c > 0:
             hi = min(hi, grid[r][c - 1])
         if r > 0:
             hi = min(hi, grid[r - 1][c] - 1)
-        below = heights[c] - (r + 1)
-        lo = 1 + below  # strictly decreasing below needs that much room
-        for v in range(lo, hi + 1):
-            grid[r][c] = v
-            place(i + 1)
-        grid[r][c] = 0
+        return range(heights[c] - r, hi + 1)
 
-    place(0)
-    return tuple(out)
+    return _fillings(shape, max_entry, choices)
 
 
 @lru_cache(maxsize=None)
 def enumerate_ct(shape: CompositionShape, max_entry: int) -> tuple[Filling, ...]:
-    """All composition tableaux of the shape with entries <= max_entry,
-    ordered lexicographically by row-reading word."""
-    shape = tuple(shape)
+    """All composition tableaux of the shape (a tuple) with entries <=
+    max_entry, ordered lexicographically by row-reading word."""
     if any(part < 1 for part in shape):
         raise ValueError(f"{shape} is not a composition shape")
-    if max_entry < 1:
-        raise ValueError("max_entry must be >= 1")
-    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
-    grid = [[0] * length for length in shape]
-    out: list[Filling] = []
 
-    def triple_ok(r: int, c: int, v: int) -> bool:
-        # v is a candidate b at (r, c >= 1); rows above are complete, so
-        # their a and c slots are final.  Absent a reads 0.
-        for r1 in range(r):
-            if shape[r1] < c:
-                continue  # c-cell absent: b > 0 always holds
-            left = grid[r1][c - 1]
-            a = grid[r1][c] if shape[r1] > c else 0
-            if a <= v <= left:
-                return False
-        return True
-
-    def place(i: int) -> None:
-        if i == len(cells):
-            out.append(Filling([row[:] for row in grid]))
-            return
-        r, c = cells[i]
+    def choices(grid: list[list[int]], r: int, c: int) -> Iterable[int]:
+        # The first column strictly increases and a row weakly decreases.
         if c == 0:
-            lo = grid[r - 1][0] + 1 if r > 0 else 1
-            hi = max_entry
-            for v in range(lo, hi + 1):
-                grid[r][c] = v
-                place(i + 1)
-        else:
-            hi = grid[r][c - 1]
-            for v in range(1, hi + 1):
-                if triple_ok(r, c, v):
-                    grid[r][c] = v
-                    place(i + 1)
-        grid[r][c] = 0
+            return range(grid[r - 1][0] + 1 if r > 0 else 1, max_entry + 1)
+        # No triple with a complete row above: b at (r, c) may not lie in
+        # [a, left] for its a (0 when absent) and left; a row without a
+        # c-cell (shape[r1] < c) forms none, since b > 0.
+        barred = {
+            b
+            for r1 in range(r)
+            if shape[r1] >= c
+            for b in range(grid[r1][c] if shape[r1] > c else 0, grid[r1][c - 1] + 1)
+        }
+        return [v for v in range(1, grid[r][c - 1] + 1) if v not in barred]
 
-    place(0)
-    return tuple(out)
+    return _fillings(shape, max_entry, choices)
 
 
 def weight_monomial(f: Filling, nvars: int) -> tuple[int, ...]:

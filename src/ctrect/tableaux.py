@@ -230,6 +230,8 @@ def filling_from_json(text: str) -> Filling:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("bad JSON: nested too deeply") from None
     if not isinstance(data, dict) or "rows" not in data or not isinstance(data["rows"], list):
         raise ParseError('JSON tableau must be an object with a "rows" list')
     rows = []

@@ -345,3 +345,35 @@ class TestUsageErrors:
         code, _, err = run(capsys, "rho", "/no/such/file.txt")
         assert code == 2
         assert "No such file" in err
+
+
+class TestUnreadableInput:
+    """Input the parsers cannot read exits 2 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("subcommand", ["rho", "validate --kind ct", "check-qsym"])
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path, subcommand):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1 2\n\xff\n")
+        code, out, err = run(capsys, *subcommand.split(), str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}: not UTF-8 text (byte 4)\n"
+
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_non_utf8_stdin_exits_2(self, capsys, monkeypatch, errors):
+        import io
+
+        stdin = io.TextIOWrapper(io.BytesIO(b"1 2\n\xff\n"), encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "rho")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"rows": ' + "[" * 100_000)
+        code, out, err = run(capsys, "rho", str(deep))
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad JSON: nested too deeply\n"

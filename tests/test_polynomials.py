@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,10 +22,37 @@ from ctrect import (
     partitions,
     render_polynomial,
     schur_expand,
+    violations,
     weight_monomial,
     weight_of,
 )
 from ctrect.polynomials import _rearrangements, compositions
+
+
+def _brute_force_shapes(m: int, partition: bool = False) -> list[tuple[int, ...]]:
+    """Compositions of m from every set of cut points, sorted ascending;
+    with ``partition``, only the weakly decreasing ones."""
+    shapes = []
+    for k in range(m):
+        for cuts in combinations(range(1, m), k):
+            bounds = (0,) + cuts + (m,)
+            shapes.append(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+    if partition:
+        shapes = [s for s in shapes if list(s) == sorted(s, reverse=True)]
+    return sorted(shapes) if m else [()]
+
+
+def _brute_force_fillings(kind: str, shape: tuple[int, ...], max_entry: int) -> tuple:
+    fillings = []
+    for values in product(range(1, max_entry + 1), repeat=sum(shape)):
+        rows, i = [], 0
+        for part in shape:
+            rows.append(values[i : i + part])
+            i += part
+        f = Filling(rows)
+        if violations(kind, f) == []:
+            fillings.append(f)
+    return tuple(fillings)
 
 
 class TestEnumeration:
@@ -68,23 +95,29 @@ class TestEnumeration:
     def test_ct_trivial(self):
         assert enumerate_ct((1,), 1) == (Filling([[1]]),)
 
+    # Brute force: every filling from ``product``, which yields them in
+    # reading-word order, kept when the validator accepts it.  Ordered
+    # tuples are compared, so the enumerators' order is pinned too.
     def test_ct_matches_validator_brute_force(self):
-        from itertools import product
+        for m in range(1, 6):
+            for shape in _brute_force_shapes(m):
+                for max_entry in range(1, 5):
+                    expected = _brute_force_fillings("ct", shape, max_entry)
+                    assert enumerate_ct(shape, max_entry) == expected, (shape, max_entry)
 
-        from ctrect import violations
+    def test_rssyt_and_ssyt_match_validator_brute_force(self):
+        for m in range(1, 6):
+            for shape in _brute_force_shapes(m, partition=True):
+                for max_entry in range(1, 5):
+                    expected = _brute_force_fillings("rssyt", shape, max_entry)
+                    assert enumerate_rssyt(shape, max_entry) == expected, (shape, max_entry)
+                    expected = _brute_force_fillings("ssyt", shape, max_entry)
+                    assert enumerate_ssyt(shape, max_entry) == expected, (shape, max_entry)
 
-        for shape in [(2, 1), (1, 2), (2, 2), (1, 1, 1), (3, 1)]:
-            m = sum(shape)
-            brute = []
-            for values in product(range(1, 4), repeat=m):
-                rows, i = [], 0
-                for part in shape:
-                    rows.append(values[i : i + part])
-                    i += part
-                f = Filling(rows)
-                if violations("ct", f) == []:
-                    brute.append(f)
-            assert sorted(brute, key=str) == sorted(enumerate_ct(shape, 3), key=str)
+    def test_shapes_match_brute_force(self):
+        for m in range(9):
+            assert compositions(m) == _brute_force_shapes(m)
+            assert partitions(m) == _brute_force_shapes(m, partition=True)
 
     def test_reading_word_order(self):
         words = [tuple(v for _, _, v in t.cells()) for t in enumerate_ssyt((2, 1), 3)]
