@@ -104,7 +104,7 @@ class Filling:
             for c, v in enumerate(row, start=1):
                 if v is None:
                     continue
-                if not isinstance(v, int) or v < 0:
+                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                     raise ValueError(
                         f"slot ({r},{c}): expected None or a nonnegative integer, got {v!r}"
                     )
@@ -295,10 +295,16 @@ def violations(kind: TableauKind, f: Filling) -> list[Violation]:
     The list is empty exactly when the filling is valid.  Holes and zero
     entries fail immediately with dedicated violations; the structural rules
     assume a hole-free grid and are skipped in that case.
+
+    For ``ct`` and ``rssyt`` a valid filling takes one early-exit scan that
+    builds nothing; the rule-by-rule listing runs only for a filling that
+    breaks a rule, and always for ``ssyt`` and ``syt``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown tableau kind {kind!r}")
     rows = f.rows
+    if (kind == "ct" or kind == "rssyt") and _accepts(kind, rows):
+        return []
     vs: list[Violation] = []
     for r, row in enumerate(rows, start=1):
         if None in row or 0 in row:
@@ -366,6 +372,47 @@ def violations(kind: TableauKind, f: Filling) -> list[Violation]:
         vs.extend(_triple_rule_violations(rows))
 
     return vs
+
+
+def _accepts(kind: TableauKind, rows: tuple[Row, ...]) -> bool:
+    # True exactly when violations(kind, ...) is empty, for kind "ct" or
+    # "rssyt".  One bottom-up pass that returns at the first broken rule.
+    # Slots are ints >= 0 or None (Filling rejects anything else), so once a
+    # row holds no hole and no 0 its slots compare without raising.
+    rssyt = kind == "rssyt"
+    below: Row = ()
+    tails: list[Row] = []  # ct: row[1:] of each row below with 2+ slots
+    for row in reversed(rows):
+        if not row or None in row or 0 in row:
+            return False
+        prev = row[0]
+        for v in row:
+            if v > prev:
+                return False
+            prev = v
+        if rssyt:
+            if len(below) > len(row):
+                return False
+            for upper, lower in zip(row, below):
+                if lower >= upper:
+                    return False
+        else:
+            if below and below[0] <= row[0]:
+                return False
+            # The triple rule of _triple_rule_violations: no b below a with
+            # a <= b <= left, where `left` is the c-cell and a the slot right
+            # of it (0 when absent).
+            tail = row[1:]
+            if tails:
+                padded = tail + (0,)
+                for lower in tails:
+                    for left, a, b in zip(row, padded, lower):
+                        if a <= b <= left:
+                            return False
+            if tail:
+                tails.append(tail)
+        below = row
+    return True
 
 
 def _triple_rule_violations(rows: tuple[Row, ...]) -> list[Violation]:

@@ -92,6 +92,13 @@ def test_json_rejects_zero():
         filling_from_json('{"rows": [[1, 0]]}')
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", -1])
+def test_carrier_rejects_non_integer_slots(bad):
+    # bool is an int subclass; the carrier rejects it as filling_from_json does
+    with pytest.raises(ValueError, match=rf"slot \(2,1\): expected None or a nonnegative integer, got {bad!r}"):
+        Filling([[2], [bad]])
+
+
 class TestShape:
     def test_basic(self):
         assert shape_of(Filling([[2, 1], [3, 2, 2, 2, 1]])) == (2, 5)

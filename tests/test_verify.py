@@ -37,6 +37,14 @@ def test_dominance_reports_a_path_that_disagrees_with_the_trace(monkeypatch):
 @pytest.mark.parametrize(
     "name, calls",
     [
+        # 180 ct and 180 reverse SSYT at 4/4, three checks each: the input,
+        # its image and the image mapped back (540 ct + 540 rssyt).
+        ("roundtrip", 540 + 540),
+        # 180 ct inputs and their 180 images under rho; per (u, k) instance
+        # (312) one rectification output and one phi output, and one rho_inv
+        # output except in the 15 one-column cases whose k empties the
+        # tableau (789 ct + 492 rssyt).
+        ("commutativity", 789 + 492),
         # 180 reverse SSYT at 4/4, each validated once, plus one output
         # check per rectification (312 (t, k) instances; 180 for
         # dominance's k = 1) or per rho_inv (180, lemma43).

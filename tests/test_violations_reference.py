@@ -138,6 +138,32 @@ def test_matches_reference_on_random_fillings(seed):
             assert _as_triples(violations(kind, f)) == _as_triples(reference_violations(kind, f)), (kind, f.rows)
 
 
+def _one_slot_neighbours(rows: tuple) -> list[tuple]:
+    # Each filling one edit away: a slot replaced by a hole, 0 or 1..5, a
+    # row's last slot dropped, or one slot of 1..5 appended to a row.
+    out = []
+    for r, row in enumerate(rows):
+        edits = [
+            row[:c] + (v,) + row[c + 1 :] for c in range(len(row)) for v in (None, 0, 1, 2, 3, 4, 5) if v != row[c]
+        ]
+        edits.append(row[:-1])
+        edits += [row + (v,) for v in range(1, 6)]
+        out += [rows[:r] + (edit,) + rows[r + 1 :] for edit in edits]
+    return out
+
+
+def test_matches_reference_one_slot_from_valid():
+    # The fast accept path of violations decides exactly this boundary:
+    # valid tableaux and the fillings one edit away from them.
+    valid = [u for m in range(1, 5) for shape in compositions(m) for u in enumerate_ct(shape, 4)]
+    valid += [t for m in range(1, 5) for shape in partitions(m) for t in enumerate_rssyt(shape, 4)]
+    for f in valid:
+        for rows in _one_slot_neighbours(f.rows):
+            g = Filling(rows)
+            for kind in KINDS:
+                assert _as_triples(violations(kind, g)) == _as_triples(reference_violations(kind, g)), (kind, g.rows)
+
+
 def test_matches_reference_on_valid_tableaux():
     # The empty lists of valid input, and every rule of the other kinds.
     fillings = [u for m in range(1, 6) for shape in compositions(m) for u in enumerate_ct(shape, 4)]
