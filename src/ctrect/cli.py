@@ -144,7 +144,13 @@ def _cmd_rectify(args) -> int:
 def _cmd_evacuate(args) -> int:
     from .jeu_de_taquin import evacuate
 
-    _emit_tableau(evacuate(_read_tableau(args.file)), args.json)
+    try:
+        out = evacuate(_read_tableau(args.file))
+    except InvalidTableauError:
+        raise
+    except ValueError as exc:  # an entry above the cell count: bad input, not usage
+        raise ParseError(str(exc)) from exc
+    _emit_tableau(out, args.json)
     return EX_OK
 
 

@@ -26,13 +26,13 @@ vacated corner of a same-shape output grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
 from .tableaux import (
     Cell,
     Filling,
     InvariantViolationError,
+    _Record,
     _validate_k,
     check_invariant,
     validate,
@@ -43,35 +43,32 @@ Direction = Literal["up", "left"]
 ShiftReport = dict[int, list[int]]
 
 
-@dataclass(frozen=True)
-class SlideStep:
+class SlideStep(_Record):
     """One slide: ``entry`` moved from ``from_cell`` into ``to_cell``."""
 
-    from_cell: Cell
-    to_cell: Cell
-    entry: int
-    direction: Direction
+    __slots__ = ()
+    _fields = ("from_cell", "to_cell", "entry", "direction")
+
+    def __new__(cls, from_cell: Cell, to_cell: Cell, entry: int, direction: Direction):
+        return tuple.__new__(cls, (from_cell, to_cell, entry, direction))
 
 
-@dataclass(frozen=True)
-class SlideTrace:
+class SlideTrace(_Record):
     """Record of sliding one removed cell out of the tableau.
 
     ``steps`` are in path order; ``vacated_cell`` is the corner deleted from
     the shape once no neighbor is left to slide.
     """
 
-    removed_entry: int
-    steps: tuple[SlideStep, ...]
-    vacated_cell: Cell
+    __slots__ = ()
+    _fields = ("removed_entry", "steps", "vacated_cell")
+
+    def __new__(cls, removed_entry: int, steps: tuple[SlideStep, ...], vacated_cell: Cell):
+        return tuple.__new__(cls, (removed_entry, steps, vacated_cell))
 
     def left_shifts(self) -> list[tuple[int, int, int]]:
         """(row, column, entry) of each column-crossing slide, in order."""
-        return [
-            (s.from_cell[0], s.from_cell[1], s.entry)
-            for s in self.steps
-            if s.direction == "left"
-        ]
+        return [(r, c, entry) for (r, c), _, entry, direction in self.steps if direction == "left"]
 
 
 def _slide_out(grid: list[list[int | None]], er: int, ec: int, removed: int) -> SlideTrace:

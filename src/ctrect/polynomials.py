@@ -23,7 +23,6 @@ properties then ``schur-identities`` 146 times (``schur-identities`` alone,
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
@@ -34,28 +33,31 @@ from .tableaux import (
     Filling,
     ParseError,
     PartitionShape,
+    _Record,
     is_partition_shape,
 )
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Integer polynomial in ``nvars`` variables as a sparse term map."""
+class Polynomial(_Record):
+    """Integer polynomial in ``nvars`` variables as a sparse term map.
 
-    nvars: int
-    terms: dict[tuple[int, ...], int]
+    Unhashable, since ``terms`` is a dict.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+    _fields = ("nvars", "terms")
+
+    def __new__(cls, nvars: int, terms: dict[tuple[int, ...], int]):
         clean = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in terms.items():
             exps = tuple(exps)
-            if len(exps) != self.nvars:
-                raise ValueError(f"exponent vector {exps} does not have {self.nvars} entries")
+            if len(exps) != nvars:
+                raise ValueError(f"exponent vector {exps} does not have {nvars} entries")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             if coeff:
                 clean[exps] = coeff
-        object.__setattr__(self, "terms", clean)
+        return tuple.__new__(cls, (nvars, clean))
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":

@@ -22,9 +22,8 @@ the left.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Literal
 
 Row = tuple[int | None, ...]
@@ -74,20 +73,58 @@ class InvariantViolationError(RuntimeError):
         self.violations = violations or []
 
 
-@dataclass(frozen=True)
-class Violation:
+_tuple_eq = tuple.__eq__  # bound once: a global read beats the attribute lookup
+
+
+class _Record(tuple):
+    """Base of the immutable records: a tuple of the fields a subclass names
+    in ``_fields``, each read through a property made here.  A record equals
+    only a record of its own class with equal fields, never a plain tuple,
+    and hashes like the tuple of its fields.  Each subclass declares
+    ``__slots__ = ()``, so no attribute can be added, and a ``__new__`` with
+    its constructor's signature."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return _tuple_eq(self, other)
+        # NotImplemented would let tuple.__eq__ compare a plain tuple as equal.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Violation(_Record):
     """One broken validation rule: rule id, offending cell, description."""
 
-    rule: str
-    cell: Cell
-    message: str
+    __slots__ = ()
+    _fields = ("rule", "cell", "message")
+
+    def __new__(cls, rule: str, cell: Cell, message: str):
+        return tuple.__new__(cls, (rule, cell, message))
 
     def __str__(self) -> str:
         r, c = self.cell
         return f"[{self.rule}] at ({r},{c}): {self.message}"
 
 
-@dataclass(frozen=True)
 class Filling:
     """Immutable grid of optional positive entries.
 
@@ -96,7 +133,16 @@ class Filling:
     verbatim, which can be 0.  The parser and every validator reject 0.
     """
 
-    rows: tuple[Row, ...] = ()
+    # A slot, not a _Record field: ``rows`` is read in every hot loop, and a
+    # slot reads faster than a property.
+    __slots__ = ("rows",)
+    rows: tuple[Row, ...]
+
+    def __init__(self, rows: Iterable[Iterable[int | None]] = ()) -> None:
+        _set_rows(self, rows)
+        # Looked up on the class at every call, so a wrapper put there (to
+        # count constructions, say) sees each validated construction.
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.rows)
@@ -108,15 +154,36 @@ class Filling:
                     raise ValueError(
                         f"slot ({r},{c}): expected None or a nonnegative integer, got {v!r}"
                     )
-        object.__setattr__(self, "rows", rows)
+        _set_rows(self, rows)
 
     @classmethod
     def _trusted(cls, rows: Iterable[Iterable[int | None]]) -> "Filling":
         """Build a filling whose slots all come from validated fillings,
         skipping the per-slot type check of the public constructor."""
         f = object.__new__(cls)
-        object.__setattr__(f, "rows", tuple(map(tuple, rows)))
+        _set_rows(f, tuple(map(tuple, rows)))
         return f
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __reduce__(self):
+        # Unpickling a slot would otherwise go through __setattr__.
+        return (self.__class__, (self.rows,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(rows={self.rows!r})"
 
     @property
     def n_rows(self) -> int:
@@ -161,6 +228,11 @@ class Filling:
 
     def __str__(self) -> str:
         return render_filling(self)
+
+
+# The slot's own setter: it skips Filling.__setattr__, and is quicker than
+# object.__setattr__.
+_set_rows = Filling.rows.__set__
 
 
 def parse_filling(text: str) -> Filling:
@@ -221,11 +293,15 @@ def render_filling(f: Filling, align: bool = False) -> str:
 
 def filling_to_json(f: Filling) -> str:
     """Serialize as ``{"rows": [[int|null, ...], ...]}``."""
+    import json  # here, so that text input and output never load it
+
     return json.dumps({"rows": [list(row) for row in f.rows]})
 
 
 def filling_from_json(text: str) -> Filling:
     """Parse the JSON tableau format (``null`` is a hole)."""
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijection import _rho, _rho_inv, rho, rho_inv
@@ -54,30 +53,52 @@ from .polynomials import (
     schur_expand,
     weight_monomial,
 )
-from .tableaux import Filling, InvariantViolationError, validate
+from .tableaux import Filling, InvariantViolationError, _Record, validate
 
 MAX_RENDERED_COUNTEREXAMPLES = 10
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    instance: str
-    expected: str
-    actual: str
+class Counterexample(_Record):
+    __slots__ = ()
+    _fields = ("instance", "expected", "actual")
+
+    def __new__(cls, instance: str, expected: str, actual: str):
+        return tuple.__new__(cls, (instance, expected, actual))
 
 
-@dataclass
 class VerifyReport:
     """Outcome of one property run: bounds, instance count, counterexamples
-    and wall time.  ``ok`` exactly when no counterexample was found."""
+    and wall time.  ``ok`` exactly when no counterexample was found.
 
-    name: str
-    max_cells: int
-    max_entry: int
-    k_range: tuple[int, int] | None
-    instances: int
-    counterexamples: list[Counterexample]
-    seconds: float
+    Mutable, so compared by value but not hashable.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        max_cells: int,
+        max_entry: int,
+        k_range: tuple[int, int] | None,
+        instances: int,
+        counterexamples: list[Counterexample],
+        seconds: float,
+    ) -> None:
+        self.name = name
+        self.max_cells = max_cells
+        self.max_entry = max_entry
+        self.k_range = k_range
+        self.instances = instances
+        self.counterexamples = counterexamples
+        self.seconds = seconds
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{self.__class__.__qualname__}({fields})"
 
     @property
     def ok(self) -> bool:
@@ -310,11 +331,17 @@ def _check_schur(kind: str, subject, _cases) -> Iterator[tuple[str, str, str]]:
         )
 
 
-@dataclass(frozen=True)
-class _Property:
-    units: Callable[[int], list[tuple]]
-    subjects: Callable[[tuple, int, int, int | None], Iterable[tuple[object, Sequence]]]
-    check: Callable[[str, object, Sequence], Iterable[tuple[str, str, str]]]
+class _Property(_Record):
+    __slots__ = ()
+    _fields = ("units", "subjects", "check")
+
+    def __new__(
+        cls,
+        units: Callable[[int], list[tuple]],
+        subjects: Callable[[tuple, int, int, int | None], Iterable[tuple[object, Sequence]]],
+        check: Callable[[str, object, Sequence], Iterable[tuple[str, str, str]]],
+    ):
+        return tuple.__new__(cls, (units, subjects, check))
 
 
 PROPERTIES: dict[str, _Property] = {

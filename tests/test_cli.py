@@ -97,6 +97,23 @@ class TestTransforms:
         assert code == 0
         assert out == (FIXTURES / "rssyt_evac_expected.txt").read_text()
 
+    def test_evacuate_entry_above_cell_count_exits_2(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("5 1\n2\n"))
+        code, out, err = run(capsys, "evacuate")
+        assert code == 2
+        assert out == ""
+        assert err == "error: entry 5 exceeds the cell count 3; n - entry would be negative\n"
+
+    def test_evacuate_invalid_tableau_lists_violations(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 2\n")
+        code, out, err = run(capsys, "evacuate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == "[row-order] at (1,2): 2 > 1: rows must weakly decrease\n"
+
 
 class TestRectify:
     def test_ct_single_cell_golden(self, capsys):

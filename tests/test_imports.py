@@ -59,6 +59,58 @@ def test_ct_rectify_commands_load_no_slides(argv):
     assert run_fresh(code) is False
 
 
+# Each record is a hand-written class and JSON is read or written only on
+# request, so a text call loads neither ``dataclasses`` (with the ``inspect``
+# it pulls in) nor ``json``.
+LAZY = ("dataclasses", "inspect", "json")
+
+
+def loaded_by(code: str):
+    """The modules of LAZY that ``code`` loads, run in a fresh interpreter."""
+    return run_fresh(
+        "import sys\nbefore = set(sys.modules)\n"
+        f"{code}\n"
+        f"loaded = [m for m in {LAZY!r} if m in sys.modules and m not in before]\n"
+        "import json\nprint(json.dumps(loaded))"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--kind", "ct", str(FIXTURES / "ct_u.txt")],
+        ["rho", str(FIXTURES / "ct_u.txt")],
+        ["rho-inv", str(FIXTURES / "rssyt_t.txt")],
+        ["rectify", "--kind", "rssyt", "--cells", "3", str(FIXTURES / "rssyt_eviction.txt")],
+        ["rectify", "--kind", "rssyt", "--cells", "3", "--trace", str(FIXTURES / "rssyt_eviction.txt")],
+        ["rectify", "--kind", "ct", "--cells", "3", str(FIXTURES / "ct_phi3_input.txt")],
+        ["rectify", "--kind", "ct", "--cells", "3", "--trace", str(FIXTURES / "ct_phi3_input.txt")],
+        ["eviction", "--cells", "3", str(FIXTURES / "rssyt_eviction.txt")],
+        ["evacuate", str(FIXTURES / "rssyt_evac_input.txt")],
+        ["expand", "schur", "2,1", "--vars", "3"],
+    ],
+)
+def test_text_calls_load_no_dataclasses_inspect_or_json(argv):
+    assert loaded_by(f"from ctrect.cli import main\nassert main({argv!r}) == 0") == []
+
+
+def test_verify_module_loads_no_dataclasses():
+    assert "dataclasses" not in loaded_by("import ctrect.verify")
+
+
+def test_json_input_and_output_still_work():
+    code = """
+import contextlib, io, json, sys
+from ctrect.cli import main
+sys.stdin = io.StringIO('{"rows": [[2, 2], [3, 1]]}')
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["rho", "--json"])
+print(json.dumps([code, out.getvalue()]))
+"""
+    assert run_fresh(code) == [0, '{"rows": [[3, 2], [2, 1]]}\n']
+
+
 def test_serial_verify_loads_no_pool():
     code = (
         "from ctrect.verify import run_property\n"
