@@ -200,8 +200,6 @@ def _cmd_check_qsym(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    import json
-
     from .verify import run_property
 
     k_range = _parse_k_range(args.k_range) if args.k_range else None
@@ -211,6 +209,8 @@ def _cmd_verify(args) -> int:
     print(report.render())
     print(f"time: {report.seconds:.2f}s", file=sys.stderr)
     if args.out:
+        import json
+
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report.to_json(), handle, indent=2)
             handle.write("\n")

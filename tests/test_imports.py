@@ -88,6 +88,7 @@ def loaded_by(code: str):
         ["eviction", "--cells", "3", str(FIXTURES / "rssyt_eviction.txt")],
         ["evacuate", str(FIXTURES / "rssyt_evac_input.txt")],
         ["expand", "schur", "2,1", "--vars", "3"],
+        ["verify", "--property", "roundtrip", "--max-cells", "2", "--max-entry", "2"],
     ],
 )
 def test_text_calls_load_no_dataclasses_inspect_or_json(argv):
