@@ -74,14 +74,16 @@ def _parse_parts(raw: str) -> tuple[int, ...]:
 
 
 def _parse_k_range(raw: str) -> tuple[int, int]:
+    # A ValueError, not a ParseError: a bad flag is a usage error (exit 64).
     lo, sep, hi = raw.partition("..")
     try:
-        if not sep:
-            k = int(raw)
-            return (k, k)
-        return (int(lo), int(hi))
+        k_lo, k_hi = (int(lo), int(hi)) if sep else (int(raw), int(raw))
+        ok = 1 <= k_lo <= k_hi
     except ValueError:
-        raise ParseError(f"bad k range {raw!r}: expected 'a..b' or a single integer")
+        ok = False
+    if not ok:
+        raise ValueError(f"bad --k-range {raw!r}: expected A..B with 1 <= A <= B, or one K >= 1")
+    return k_lo, k_hi
 
 
 def _cmd_validate(args) -> int:

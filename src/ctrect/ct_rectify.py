@@ -26,6 +26,10 @@ sliding: remove the top k first-column entries, then align each column's
 survivors against the next column (every survivor takes the highest
 remaining entry not exceeding it); unmatched entries are the shifting
 entries and the matched ones survive to align the following column.
+Survivors and column entries both strictly decrease, so one walk down the
+column with one pointer into the survivors does the alignment: an entry
+above the current survivor exceeds every later survivor too, so it is
+shifting, and each match lies below the previous one.
 """
 
 from __future__ import annotations
@@ -154,20 +158,27 @@ def eviction(t: Filling, k: int) -> dict[int, list[int]]:
 
 def _eviction(t: Filling, k: int) -> dict[int, list[int]]:
     # The kernel: t must be a valid reverse SSYT and 1 <= k <= t.n_rows.
-    survivors = t.column(1)[k:]
+    # One walk down each column with one pointer into its survivors (see
+    # the module docstring); past the last survivor, s reads 0 and every
+    # remaining entry is shifting.
+    rows = t.rows
+    survivors = [row[0] for row in rows[k:]]
     report: dict[int, list[int]] = {}
-    for c in range(2, t.width + 1):
-        entries = t.column(c)  # decreasing top to bottom
-        taken = [False] * len(entries)
-        matched = []
-        for s in survivors:
-            for i, e in enumerate(entries):
-                if not taken[i] and e <= s:
-                    taken[i] = True
-                    matched.append(e)
-                    break
-        shifting = [e for i, e in enumerate(entries) if not taken[i]]
+    for c in range(1, t.width):  # 0-based column index
+        pointer = iter(survivors)
+        s = next(pointer, 0)
+        matched: list[int] = []
+        shifting: list[int] = []
+        for row in rows:
+            if len(row) <= c:
+                break  # columns are top-justified
+            e = row[c]
+            if e <= s:
+                matched.append(e)
+                s = next(pointer, 0)
+            else:
+                shifting.append(e)
         if shifting:
-            report[c] = shifting
+            report[c + 1] = shifting
         survivors = matched
     return report

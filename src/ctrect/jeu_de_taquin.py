@@ -73,27 +73,33 @@ class SlideTrace(_Record):
 
 def _slide_out(grid: list[list[int | None]], er: int, ec: int, removed: int) -> SlideTrace:
     # Slide the hole at 0-based (er, ec) out of the grid, mutating it.  Any
-    # other holes sit above the slide path and are never read.
+    # other holes sit above the slide path and are never read.  ``row`` is
+    # the hole's row and ``nxt`` the one below (empty past the last row);
+    # entries are positive, so a hole or an absent slot reads 0.
     steps: list[SlideStep] = []
+    new = tuple.__new__
+    last = len(grid) - 1
+    row = grid[er]
+    nxt = grid[er + 1] if er < last else []
     while True:
-        below = grid[er + 1][ec] if er + 1 < len(grid) and ec < len(grid[er + 1]) else 0
-        right = grid[er][ec + 1] if ec + 1 < len(grid[er]) else 0
-        below = 0 if below is None else below
-        right = 0 if right is None else right
-        if below == 0 and right == 0:
+        below = (nxt[ec] or 0) if ec < len(nxt) else 0
+        right = (row[ec + 1] or 0) if ec + 1 < len(row) else 0
+        if not (below or right):
             break
         if below >= right:  # the lower neighbor wins ties
-            grid[er][ec] = below
-            grid[er + 1][ec] = None
-            steps.append(SlideStep((er + 2, ec + 1), (er + 1, ec + 1), below, "up"))
+            row[ec] = below
+            nxt[ec] = None
+            steps.append(new(SlideStep, ((er + 2, ec + 1), (er + 1, ec + 1), below, "up")))
             er += 1
+            row = nxt
+            nxt = grid[er + 1] if er < last else []
         else:
-            grid[er][ec] = right
-            grid[er][ec + 1] = None
-            steps.append(SlideStep((er + 1, ec + 2), (er + 1, ec + 1), right, "left"))
+            row[ec] = right
+            row[ec + 1] = None
+            steps.append(new(SlideStep, ((er + 1, ec + 2), (er + 1, ec + 1), right, "left")))
             ec += 1
     _vacate(grid, er, ec)
-    return SlideTrace(removed, tuple(steps), (er + 1, ec + 1))
+    return new(SlideTrace, (removed, tuple(steps), (er + 1, ec + 1)))
 
 
 def _vacate(grid: list[list[int | None]], er: int, ec: int) -> None:
@@ -153,16 +159,23 @@ def shifting_entries(traces: list[SlideTrace]) -> ShiftReport:
     """
     report: ShiftReport = {}
     for trace in traces:
-        for _, c, e in trace.left_shifts():
-            report.setdefault(c, []).append(e)
+        for (_, c), _, e, direction in trace.steps:
+            if direction == "left":
+                report.setdefault(c, []).append(e)
     return report
 
 
 def is_diagonally_dominant(t: Filling, row: int, col: int) -> bool:
-    """True when the entry exceeds the one a row down and a column left.
+    """True when the entry of a valid reverse SSYT exceeds the one a row
+    down and a column left.
 
     Absent slots read 0; only filled cells in columns >= 2 qualify.
     """
+    return _is_dominant(validate("rssyt", t), row, col)
+
+
+def _is_dominant(t: Filling, row: int, col: int) -> bool:
+    # The kernel: t must be a valid reverse SSYT.
     if col < 2:
         raise ValueError("diagonal dominance is defined for columns >= 2")
     if t.entry(row, col) == 0:
@@ -183,21 +196,22 @@ def dominant_path(t: Filling) -> list[tuple[int, int, int]]:
 
 def _dominant_path(t: Filling) -> list[tuple[int, int, int]]:
     # The kernel: t must be a valid reverse SSYT (an empty one has no path).
+    # Indices are 0-based; a valid tableau has no holes, and a slot past the
+    # end of a row reads 0.
+    rows = t.rows
+    last = len(rows) - 1
     path: list[tuple[int, int, int]] = []
-    min_row = 1
-    for c in range(2, t.width + 1):
-        found = None
-        for r in range(min_row, t.n_rows + 1):
-            v = t.entry(r, c)
-            if v == 0:
-                break  # columns are top-justified
-            if v > t.entry(r + 1, c - 1):
-                found = (r, c, v)  # topmost dominant entry is the largest
-                break
-        if found is None:
-            break
-        path.append(found)
-        min_row = found[0]
+    r = 0
+    for c in range(1, t.width):
+        while r <= last and c < len(rows[r]):  # columns are top-justified
+            v = rows[r][c]
+            below = rows[r + 1] if r < last else ()
+            if v > (below[c - 1] if c - 1 < len(below) else 0):
+                break  # the topmost dominant entry is the largest
+            r += 1
+        else:
+            return path
+        path.append((r + 1, c + 1, v))
     return path
 
 

@@ -36,8 +36,8 @@ from .bijection import _rho, _rho_inv, rho, rho_inv
 from .ct_rectify import _eviction, _phi
 from .jeu_de_taquin import (
     _dominant_path,
+    _is_dominant,
     _rectify_cells,
-    is_diagonally_dominant,
     shifting_entries,
 )
 from .polynomials import (
@@ -269,7 +269,7 @@ def _check_dominance(_kind: str, t: Filling, _cases) -> Iterator[tuple[str, str,
     validate("rssyt", t)
     _, (trace,) = _rectify_cells(t, 1)
     shifts = trace.left_shifts()
-    not_dominant = [(r, c) for r, c, _e in shifts if not is_diagonally_dominant(t, r, c)]
+    not_dominant = [(r, c) for r, c, _e in shifts if not _is_dominant(t, r, c)]
     if not_dominant:
         yield (
             brief(t),

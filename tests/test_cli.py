@@ -309,6 +309,17 @@ class TestVerify:
         assert code == 0
         assert "bounds: max-cells=4 max-entry=4 k=2..3" in out
 
+    @pytest.mark.parametrize("raw", ["x", "1..", "0..1"])
+    def test_bad_k_range_exits_64(self, capsys, raw):
+        code, out, err = run(
+            capsys,
+            "verify", "--property", "lemma41", "--max-cells", "2", "--max-entry", "2",
+            "--k-range", raw,
+        )
+        assert code == 64
+        assert out == ""
+        assert f"bad --k-range {raw!r}" in err
+
     def test_commutativity_instance_count_pinned(self, capsys):
         # frozen on first run as a regression value
         code, out, _ = run(

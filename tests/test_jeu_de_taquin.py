@@ -6,6 +6,7 @@ import pytest
 
 from ctrect import (
     Filling,
+    InvalidTableauError,
     InvariantViolationError,
     SlideStep,
     SlideTrace,
@@ -131,6 +132,11 @@ class TestDominance:
     def test_unfilled_cell_rejected(self, rssyt_t):
         with pytest.raises(ValueError):
             is_diagonally_dominant(rssyt_t, 1, 6)
+
+    def test_invalid_tableau_rejected(self):
+        # Rows 1 5 and a hole: neither rows nor entries fit a reverse SSYT.
+        with pytest.raises(InvalidTableauError):
+            is_diagonally_dominant(Filling([[1, 5], [None]]), 1, 2)
 
     def test_path_fixture(self, rssyt_t):
         assert dominant_path(rssyt_t) == [(1, 2, 7), (3, 3, 3)]

@@ -1,0 +1,99 @@
+"""Rectification and eviction against oracles that share no slide or
+eviction code.
+
+Rectification oracle: jeu de taquin rectification of a skew semistandard
+tableau equals the insertion tableau P of its reading word (Schützenberger;
+Fulton, *Young Tableaux*, ch. 1-3).  A reverse SSYT becomes a semistandard
+one under the complement v -> N + 1 - v, so rectifying k cells of t is:
+complement, drop the top k first-column cells, row-insert the reading word
+(bottom row first, each row left to right) with ``bisect``, complement
+back.
+
+Eviction oracle, by conservation of entries per column: the entries that
+leave column c are those it held before, plus those that arrive from column
+c + 1, minus those it holds after, as multisets.  Taken from the widest
+column down to column 2, with the "after" columns read off the rectification
+oracle, this gives the shifting entries of every column.
+
+The oracles use only ``bisect``, ``Counter`` and row lists; the kernels
+they check are imported for the comparison alone.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from collections import Counter
+
+import pytest
+
+from ctrect.ct_rectify import _eviction
+from ctrect.jeu_de_taquin import _rectify_cells
+from ctrect.polynomials import enumerate_rssyt, partitions
+
+MAX_CELLS = 6
+MAX_ENTRY = 6
+
+
+def oracle_rectify(rows: tuple[tuple[int, ...], ...], k: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of the k-cell rectification of the reverse SSYT ``rows``."""
+    top = MAX_ENTRY + 1
+    word = [top - v for i in range(len(rows) - 1, -1, -1) for v in rows[i][1 if i < k else 0:]]
+    p: list[list[int]] = []
+    for x in word:
+        for row in p:
+            j = bisect_right(row, x)  # leftmost entry greater than x
+            if j == len(row):
+                row.append(x)
+                break
+            row[j], x = x, row[j]
+        else:
+            p.append([x])
+    return tuple(tuple(top - v for v in row) for row in p)
+
+
+def _columns(rows) -> list[Counter]:
+    width = max((len(row) for row in rows), default=0)
+    return [Counter(row[c] for row in rows if c < len(row)) for c in range(width)]
+
+
+def oracle_eviction(rows: tuple[tuple[int, ...], ...], k: int) -> dict[int, list[int]]:
+    """Column (1-based) -> entries that leave it, decreasing; empty ones omitted."""
+    before = _columns(rows)
+    before[0] -= Counter(row[0] for row in rows[:k])
+    after = _columns(oracle_rectify(rows, k))
+    report: dict[int, list[int]] = {}
+    arriving: Counter = Counter()  # entries that leave the column to the right
+    for c in range(len(before) - 1, 0, -1):
+        leaving = before[c] + arriving
+        leaving.subtract(after[c] if c < len(after) else Counter())
+        assert min(leaving.values(), default=0) >= 0, "an entry appeared from nowhere"
+        leaving = +leaving
+        if leaving:
+            report[c + 1] = sorted(leaving.elements(), reverse=True)
+        arriving = leaving
+    return report
+
+
+def test_oracles_on_a_worked_example():
+    # Two rows: removing 3 leaves 2 and 1 below, and 2 slides left.
+    assert oracle_rectify(((3, 2), (1,)), 1) == ((2,), (1,))
+    assert oracle_eviction(((3, 2), (1,)), 1) == {2: [2]}
+    assert oracle_rectify(((3, 1), (2,)), 1) == ((2, 1),)
+    assert oracle_eviction(((3, 1), (2,)), 1) == {}
+
+
+@pytest.mark.parametrize("m", range(1, MAX_CELLS + 1))
+def test_kernels_match_the_oracles(m):
+    for shape in partitions(m):
+        for t in enumerate_rssyt(shape, MAX_ENTRY):
+            for k in range(1, t.n_rows + 1):
+                where = (t.rows, k)
+                assert _rectify_cells(t, k)[0].rows == oracle_rectify(t.rows, k), where
+                assert _eviction(t, k) == oracle_eviction(t.rows, k), where
+
+
+def test_oracles_load_no_kernel_module():
+    # The oracles' code names no kernel module or kernel function.
+    kernel_names = {"jeu_de_taquin", "ct_rectify", "_rectify_cells", "_eviction", "_slide_out"}
+    for oracle in (oracle_rectify, oracle_eviction, _columns):
+        assert not kernel_names & set(oracle.__code__.co_names), oracle.__name__
