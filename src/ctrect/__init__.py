@@ -27,7 +27,6 @@ _EXPORTS = {
         "is_diagonally_dominant",
         "rectify_k",
         "rectify_k_steps",
-        "rectify_once",
         "replay",
         "shifting_entries",
     ),
@@ -57,7 +56,6 @@ _EXPORTS = {
         "ParseError",
         "PartitionShape",
         "Row",
-        "ShapeUndefinedError",
         "TableauKind",
         "Violation",
         "Weight",
@@ -65,7 +63,6 @@ _EXPORTS = {
         "filling_to_json",
         "parse_filling",
         "render_filling",
-        "shape_of",
         "validate",
         "violations",
         "weight_of",

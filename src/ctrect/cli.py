@@ -21,7 +21,6 @@ from .tableaux import (
     InvariantViolationError,
     KINDS,
     ParseError,
-    ShapeUndefinedError,
     filling_from_json,
     filling_to_json,
     parse_filling,
@@ -280,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ShapeUndefinedError, OSError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_INVALID_INPUT
     except InvalidTableauError as exc:

@@ -114,15 +114,6 @@ def _vacate(grid: list[list[int | None]], er: int, ec: int) -> None:
         grid.pop()
 
 
-def rectify_once(t: Filling) -> tuple[Filling, SlideTrace]:
-    """Run one rectification round on a nonempty valid reverse SSYT."""
-    t = validate("rssyt", t)
-    if t.n_rows == 0:
-        raise ValueError("cannot rectify an empty tableau")
-    out, traces = _rectify_cells(t, 1)
-    return out, traces[0]
-
-
 def _rectify_cells(t: Filling, k: int) -> tuple[Filling, list[SlideTrace]]:
     # The kernel behind every rectification: t must be a valid reverse SSYT
     # and 1 <= k <= t.n_rows.  Only the output is checked.
@@ -140,7 +131,8 @@ def rectify_k(t: Filling, k: int) -> tuple[Filling, list[SlideTrace]]:
 
     The k cells are deleted first and their holes slid out bottom to top;
     ``traces[n-1]`` is the slide of the cell holding the n-th largest
-    removed entry.  ``rectify_k(t, 1)`` equals ``rectify_once(t)``.
+    removed entry.  ``rectify_k(t, 1)`` is one rectification round, its
+    single trace the slide of the (1,1) entry.
     """
     return _rectify_cells(_validate_k("rssyt", t, k), k)
 
@@ -188,7 +180,7 @@ def dominant_path(t: Filling) -> list[tuple[int, int, int]]:
 
     For each column from 2 on, pick the largest dominant entry at or below
     the previously chosen row; stop at the first column without one.  For a
-    single round this is exactly the column shifts of :func:`rectify_once`;
+    single round this is exactly the column shifts of ``rectify_k(t, 1)``;
     the ``dominance`` property of the verification harness checks that.
     """
     return _dominant_path(validate("rssyt", t))

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
 from .tableaux import (
@@ -72,9 +72,6 @@ class Polynomial(_Record):
             exps = tuple(exps)
             acc[exps] = acc.get(exps, 0) + coeff
         return cls(nvars, acc)
-
-    def coefficient(self, exps: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(exps), 0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -330,21 +327,18 @@ def monomial_qsym_expand(shape: CompositionShape, nvars: int) -> Polynomial:
 
 def is_quasisymmetric(p: Polynomial) -> bool:
     """True when every placement of each exponent sequence onto increasing
-    variable choices carries the same coefficient."""
-    by_comp: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    variable choices carries the same coefficient.
+
+    Counted, not walked: a sequence of l nonzero exponents has comb(nvars, l)
+    placements, and the terms list each placement at most once.
+    """
+    by_comp: dict[tuple[int, ...], list[int]] = {}
     for exps, coeff in p.terms.items():
-        comp = tuple(e for e in exps if e)
-        positions = tuple(i for i, e in enumerate(exps) if e)
-        by_comp.setdefault(comp, {})[positions] = coeff
-    for comp, placements in by_comp.items():
-        ref = None
-        for positions in combinations(range(p.nvars), len(comp)):
-            coeff = placements.get(positions, 0)
-            if ref is None:
-                ref = coeff
-            elif coeff != ref:
-                return False
-    return True
+        by_comp.setdefault(tuple(e for e in exps if e), []).append(coeff)
+    return all(
+        len(coeffs) == comb(p.nvars, len(comp)) and len(set(coeffs)) == 1
+        for comp, coeffs in by_comp.items()
+    )
 
 
 def is_symmetric(p: Polynomial) -> bool:

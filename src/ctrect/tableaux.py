@@ -3,8 +3,8 @@
 A :class:`Filling` is a rows-of-slots grid.  Each slot holds a positive
 integer or an explicit hole; slots past the end of a row are absent.  Holes
 and absent slots both read as entry 0.  On top of the carrier this module
-provides the text and JSON formats, shape and weight extraction, and
-validators for the four tableau families used throughout the package:
+provides the text and JSON formats, the weight vector, and validators for
+the four tableau families used throughout the package:
 
 * ``ssyt``  - semistandard Young tableaux (weakly increasing rows, strictly
   increasing columns, partition shape),
@@ -40,11 +40,6 @@ HOLE_TOKEN = "."
 
 class ParseError(ValueError):
     """Malformed text or JSON input."""
-
-
-class ShapeUndefinedError(ValueError):
-    """The filling has an internal hole or an empty row, so row lengths do
-    not determine a composition shape."""
 
 
 class InvalidTableauError(ValueError):
@@ -265,30 +260,13 @@ def parse_filling(text: str) -> Filling:
     return Filling(tuple(rows))
 
 
-def render_filling(f: Filling, align: bool = False) -> str:
-    """Render a filling in the text format; ``parse_filling`` inverts it.
-
-    Canonical mode joins tokens with single spaces.  ``align=True``
-    right-aligns every column for display; the token stream is unchanged.
-    """
-    if not align:
-        return "\n".join(
-            " ".join(HOLE_TOKEN if v is None else str(v) for v in row)
-            for row in f.rows
-        )
-    widths: dict[int, int] = {}
-    for row in f.rows:
-        for c, v in enumerate(row):
-            tok = HOLE_TOKEN if v is None else str(v)
-            widths[c] = max(widths.get(c, 0), len(tok))
-    lines = []
-    for row in f.rows:
-        toks = [
-            (HOLE_TOKEN if v is None else str(v)).rjust(widths[c])
-            for c, v in enumerate(row)
-        ]
-        lines.append(" ".join(toks))
-    return "\n".join(lines)
+def render_filling(f: Filling) -> str:
+    """Render a filling in the text format, tokens joined by single spaces;
+    ``parse_filling`` inverts it."""
+    return "\n".join(
+        " ".join(HOLE_TOKEN if v is None else str(v) for v in row)
+        for row in f.rows
+    )
 
 
 def filling_to_json(f: Filling) -> str:
@@ -321,29 +299,6 @@ def filling_from_json(text: str) -> Filling:
                 raise ParseError(f"row {r} column {c}: entries must be positive integers or null")
         rows.append(tuple(row))
     return Filling(tuple(rows))
-
-
-def shape_of(f: Filling) -> CompositionShape:
-    """Row lengths of a prefix-filled filling as a composition.
-
-    Trailing holes are ignored; an internal hole (a filled slot to the right
-    of a hole) or a row with no filled slot leaves the shape undefined.
-    """
-    parts = []
-    for r, row in enumerate(f.rows, start=1):
-        filled = 0
-        seen_hole = False
-        for v in row:
-            if v is None:
-                seen_hole = True
-            elif seen_hole:
-                raise ShapeUndefinedError(f"row {r} has a filled slot right of a hole")
-            else:
-                filled += 1
-        if filled == 0:
-            raise ShapeUndefinedError(f"row {r} has no filled slot")
-        parts.append(filled)
-    return tuple(parts)
 
 
 def weight_of(f: Filling) -> Weight:

@@ -66,15 +66,20 @@ class Counterexample(_Record):
         return tuple.__new__(cls, (instance, expected, actual))
 
 
-class VerifyReport:
+class VerifyReport(_Record):
     """Outcome of one property run: bounds, instance count, counterexamples
     and wall time.  ``ok`` exactly when no counterexample was found.
 
-    Mutable, so compared by value but not hashable.
+    Unhashable, since ``counterexamples`` is a list.
     """
 
-    def __init__(
-        self,
+    __slots__ = ()
+    _fields = (
+        "name", "max_cells", "max_entry", "k_range", "instances", "counterexamples", "seconds"
+    )
+
+    def __new__(
+        cls,
         name: str,
         max_cells: int,
         max_entry: int,
@@ -82,23 +87,10 @@ class VerifyReport:
         instances: int,
         counterexamples: list[Counterexample],
         seconds: float,
-    ) -> None:
-        self.name = name
-        self.max_cells = max_cells
-        self.max_entry = max_entry
-        self.k_range = k_range
-        self.instances = instances
-        self.counterexamples = counterexamples
-        self.seconds = seconds
-
-    def __eq__(self, other: object):
-        if other.__class__ is self.__class__:
-            return vars(self) == vars(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{self.__class__.__qualname__}({fields})"
+    ):
+        return tuple.__new__(
+            cls, (name, max_cells, max_entry, k_range, instances, counterexamples, seconds)
+        )
 
     @property
     def ok(self) -> bool:
@@ -394,7 +386,7 @@ def run_property(
     if max_cells < 1 or max_entry < 1:
         raise ValueError("bounds must be at least 1")
     if k_range is not None and not 1 <= k_range[0] <= k_range[1]:
-        raise ValueError(f"bad k range {k_range}")
+        raise ValueError(f"bad k_range {k_range[0]}..{k_range[1]}: expected A..B with 1 <= A <= B")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     k_lo, k_hi = (1, None) if k_range is None else k_range

@@ -15,7 +15,7 @@ from ctrect import (
     monomial_qsym_expand,
     monomial_sym_expand,
     phi,
-    rectify_once,
+    rectify_k,
     rho,
     rho_inv,
     run_property,
@@ -62,7 +62,7 @@ def test_criterion_1_bijection_fixture(ct_u, rssyt_t):
 
 
 def test_criterion_2_rectification_fixture(rssyt_t):
-    (result, trace), elapsed = _best_time(lambda: rectify_once(rssyt_t))
+    (result, (trace,)), elapsed = _best_time(lambda: rectify_k(rssyt_t, 1))
     ok = (
         result == load("rssyt_t_rectified.txt")
         and shifting_entries([trace]) == {2: [7], 3: [3]}

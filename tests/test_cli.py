@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,20 @@ class TestRectify:
         assert "shift column 2: 7" in err
         assert "shift column 3: 3" in err
 
+    def test_kernel_invariant_failure_exits_1(self, capsys, monkeypatch):
+        from ctrect.tableaux import InvariantViolationError
+
+        def broken(kind, f, what):
+            raise InvariantViolationError(f"{what}: planted")
+
+        monkeypatch.setattr("ctrect.ct_rectify.check_invariant", broken)
+        code, out, err = run(
+            capsys, "rectify", "--kind", "ct", "--cells", "1", fx("ct_phi1_input.txt")
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "counterexample: phi did not produce a composition tableau: planted\n"
+
     def test_ct_trace_shows_holes(self, capsys):
         code, out, _ = run(
             capsys,
@@ -241,6 +256,17 @@ class TestCheckQsym:
         src = tmp_path / "p.txt"
         src.write_text("1: 2,0\n")
         code, out, _ = run(capsys, "check-qsym", str(src))
+        assert code == 1
+        assert out == "quasisymmetric: false\nsymmetric: false\n"
+
+    def test_sixty_variables_finish_at_once(self, capsys, tmp_path):
+        # One term of the composition (1,)*30: its comb(60, 30) placements
+        # are counted, not walked.
+        src = tmp_path / "p.txt"
+        src.write_text("1: " + ",".join(["0"] * 30 + ["1"] * 30) + "\n")
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "check-qsym", str(src))
+        assert time.perf_counter() - started < 1.0
         assert code == 1
         assert out == "quasisymmetric: false\nsymmetric: false\n"
 

@@ -1,4 +1,4 @@
-"""Data model: parsing, rendering, shapes, weights, validators."""
+"""Data model: parsing, rendering, weights, validators."""
 
 from __future__ import annotations
 
@@ -11,12 +11,10 @@ from ctrect import (
     Filling,
     InvalidTableauError,
     ParseError,
-    ShapeUndefinedError,
     filling_from_json,
     filling_to_json,
     parse_filling,
     render_filling,
-    shape_of,
     validate,
     violations,
     weight_of,
@@ -57,10 +55,6 @@ class TestRender:
     def test_hole(self):
         assert render_filling(Filling([[None, 7, 3]])) == ". 7 3"
 
-    def test_aligned_columns(self):
-        f = Filling([[10, 2], [3]])
-        assert render_filling(f, align=True) == "10 2\n 3"
-
 
 rows_strategy = st.lists(
     st.lists(st.one_of(st.none(), st.integers(1, 99)), min_size=1, max_size=5),
@@ -73,7 +67,6 @@ rows_strategy = st.lists(
 def test_parse_render_roundtrip(rows):
     f = Filling(rows)
     assert parse_filling(render_filling(f)) == f
-    assert parse_filling(render_filling(f, align=True)) == f
 
 
 def test_render_after_parse_canonicalizes():
@@ -97,28 +90,6 @@ def test_carrier_rejects_non_integer_slots(bad):
     # bool is an int subclass; the carrier rejects it as filling_from_json does
     with pytest.raises(ValueError, match=rf"slot \(2,1\): expected None or a nonnegative integer, got {bad!r}"):
         Filling([[2], [bad]])
-
-
-class TestShape:
-    def test_basic(self):
-        assert shape_of(Filling([[2, 1], [3, 2, 2, 2, 1]])) == (2, 5)
-
-    def test_single_cells(self):
-        assert shape_of(Filling([[1], [2]])) == (1, 1)
-
-    def test_internal_hole(self):
-        with pytest.raises(ShapeUndefinedError):
-            shape_of(Filling([[4, None, 1]]))
-
-    def test_trailing_holes_ignored(self):
-        assert shape_of(Filling([[4, 1, None]])) == (2,)
-
-    def test_empty_row(self):
-        with pytest.raises(ShapeUndefinedError):
-            shape_of(Filling([[1], []]))
-
-    def test_empty_filling(self):
-        assert shape_of(Filling(())) == ()
 
 
 class TestWeight:

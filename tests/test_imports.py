@@ -134,7 +134,7 @@ print(json.dumps({"names": names, "wrong": wrong}))
 """
     out = run_fresh(code)
     assert out["wrong"] == []
-    assert len(out["names"]) == len(set(out["names"])) == 55
+    assert len(out["names"]) == len(set(out["names"])) == 52
     assert {"rho", "phi", "Filling", "run_property", "PROPERTY_NAMES"} <= set(out["names"])
 
 

@@ -15,7 +15,6 @@ from ctrect import (
     is_diagonally_dominant,
     rectify_k,
     rectify_k_steps,
-    rectify_once,
     replay,
     shifting_entries,
     weight_of,
@@ -27,7 +26,7 @@ from conftest import load
 
 class TestRectifyOnce:
     def test_worked_figure(self, rssyt_t):
-        result, trace = rectify_once(rssyt_t)
+        result, (trace,) = rectify_k(rssyt_t, 1)
         assert result == load("rssyt_t_rectified.txt")
         assert trace.removed_entry == 7
         assert trace.vacated_cell == (4, 3)
@@ -35,7 +34,7 @@ class TestRectifyOnce:
         assert shifting_entries([trace]) == {2: [7], 3: [3]}
 
     def test_single_cell(self):
-        result, trace = rectify_once(Filling([[1]]))
+        result, (trace,) = rectify_k(Filling([[1]]), 1)
         assert result == Filling(())
         assert trace.removed_entry == 1
         assert trace.steps == ()
@@ -43,7 +42,7 @@ class TestRectifyOnce:
         assert shifting_entries([trace]) == {}
 
     def test_two_by_two(self):
-        result, trace = rectify_once(Filling([[3, 2], [2, 1]]))
+        result, (trace,) = rectify_k(Filling([[3, 2], [2, 1]]), 1)
         assert result == Filling([[2, 2], [1]])
         assert trace.removed_entry == 3
         assert [(s.entry, s.direction, s.from_cell) for s in trace.steps] == [
@@ -54,28 +53,22 @@ class TestRectifyOnce:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            rectify_once(Filling(()))
+            rectify_k(Filling(()), 1)
 
     def test_multiset_conservation(self, rssyt_t):
-        result, trace = rectify_once(rssyt_t)
+        result, (trace,) = rectify_k(rssyt_t, 1)
         before = sorted(v for _, _, v in rssyt_t.cells())
         after = sorted(v for _, _, v in result.cells())
         before.remove(trace.removed_entry)
         assert after == before
 
     def test_replay_reaches_result(self, rssyt_t):
-        result, trace = rectify_once(rssyt_t)
+        result, (trace,) = rectify_k(rssyt_t, 1)
         states = replay(rssyt_t, trace)
         assert states[-1][1] == result
 
 
 class TestRectifyK:
-    def test_k1_equals_single_round(self, rssyt_t):
-        out_k, traces = rectify_k(rssyt_t, 1)
-        out_1, trace = rectify_once(rssyt_t)
-        assert out_k == out_1
-        assert traces == [trace]
-
     def test_column_drains(self):
         out, traces = rectify_k(Filling([[3], [2], [1]]), 3)
         assert out == Filling(())
@@ -153,7 +146,7 @@ class TestDominance:
         for m in range(1, 6):
             for shape in partitions(m):
                 for t in enumerate_rssyt(shape, 5):
-                    _, trace = rectify_once(t)
+                    _, (trace,) = rectify_k(t, 1)
                     shifts = trace.left_shifts()
                     assert all(is_diagonally_dominant(t, r, c) for r, c, _ in shifts), t
                     assert dominant_path(t) == shifts, t
@@ -166,7 +159,7 @@ class TestInvariants:
         for m in range(1, 6):
             for shape in partitions(m):
                 for t in enumerate_rssyt(shape, 5):
-                    result, trace = rectify_once(t)
+                    result, (trace,) = rectify_k(t, 1)
                     assert result.cell_count == t.cell_count - 1
                     shifts = trace.left_shifts()
                     assert [c for _, c, _ in shifts] == list(range(2, 2 + len(shifts)))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
@@ -53,6 +55,19 @@ def _brute_force_fillings(kind: str, shape: tuple[int, ...], max_entry: int) -> 
         if violations(kind, f) == []:
             fillings.append(f)
     return tuple(fillings)
+
+
+def _hook_content_count(shape: tuple[int, ...], n: int) -> int:
+    """s_shape(1^n), the number of SSYT of the shape with entries <= n:
+    the product over cells u of (n + c(u)) / h(u), content c(u) = column -
+    row, h(u) the hook length (Stanley, EC2, 7.21.2)."""
+    heights = [sum(part > j for part in shape) for j in range(max(shape, default=0))]
+    count = Fraction(1)
+    for i, part in enumerate(shape):
+        for j in range(part):
+            count *= Fraction(n + j - i, (part - j) + (heights[j] - i) - 1)
+    assert count.denominator == 1
+    return int(count)
 
 
 class TestEnumeration:
@@ -118,6 +133,22 @@ class TestEnumeration:
         for m in range(9):
             assert compositions(m) == _brute_force_shapes(m)
             assert partitions(m) == _brute_force_shapes(m, partition=True)
+
+    def test_counts_match_the_hook_content_formula(self):
+        # Reverse SSYT of shape lam are the complements of SSYT, and rho
+        # matches the composition tableaux whose shape sorts to lam with
+        # them one to one; neither count shares code with the enumerators.
+        tableaux = cases = 0
+        for m in range(1, 7):
+            comps = _brute_force_shapes(m)
+            for lam in _brute_force_shapes(m, partition=True):
+                expected = _hook_content_count(lam, 6)
+                assert len(enumerate_rssyt(lam, 6)) == expected, lam
+                sorts_to_lam = [a for a in comps if tuple(sorted(a, reverse=True)) == lam]
+                assert sum(len(enumerate_ct(a, 6)) for a in sorts_to_lam) == expected, lam
+                tableaux += expected
+                cases += expected * len(lam)
+        assert (tableaux, cases) == (8113, 19148)
 
     def test_reading_word_order(self):
         words = [tuple(v for _, _, v in t.cells()) for t in enumerate_ssyt((2, 1), 3)]
@@ -205,7 +236,54 @@ class TestExpansions:
         assert m21 == q21 + q12
 
 
+def _quasisymmetric_reference(p: Polynomial) -> bool:
+    # Reference: walk every placement of each exponent sequence.
+    by_comp: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for exps, coeff in p.terms.items():
+        comp = tuple(e for e in exps if e)
+        positions = tuple(i for i, e in enumerate(exps) if e)
+        by_comp.setdefault(comp, {})[positions] = coeff
+    for comp, placements in by_comp.items():
+        ref = None
+        for positions in combinations(range(p.nvars), len(comp)):
+            coeff = placements.get(positions, 0)
+            if ref is None:
+                ref = coeff
+            elif coeff != ref:
+                return False
+    return True
+
+
 class TestPredicates:
+    def test_quasisymmetric_matches_the_placement_walk(self):
+        rng = random.Random(11)
+        polys = []
+        for nvars in range(1, 5):
+            for m in range(1, 5):
+                for shape in _brute_force_shapes(m):
+                    polys.append(monomial_qsym_expand(shape, nvars))
+                    if list(shape) == sorted(shape, reverse=True):
+                        polys.append(schur_expand(shape, nvars))
+                        polys.append(monomial_sym_expand(shape, nvars))
+        for _ in range(2000):  # random sparse polynomials
+            nvars = rng.randint(1, 4)
+            polys.append(Polynomial(nvars, {
+                tuple(rng.randint(0, 2) for _ in range(nvars)): rng.choice((-1, 1, 2))
+                for _ in range(rng.randint(1, 6))
+            }))
+        for _ in range(2000):  # sums of M_alpha with one term perturbed
+            nvars = rng.randint(1, 4)
+            p = Polynomial.zero(nvars)
+            for _ in range(rng.randint(1, 3)):
+                shape = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, nvars)))
+                p = p + rng.randint(1, 3) * monomial_qsym_expand(shape, nvars)
+            terms = dict(p.terms)
+            terms[rng.choice(sorted(terms))] += rng.choice((-1, 0, 1))
+            polys.append(Polynomial(nvars, terms))
+        verdicts = [is_quasisymmetric(p) for p in polys]
+        assert verdicts == [_quasisymmetric_reference(p) for p in polys]
+        assert 0 < sum(verdicts) < len(polys)
+
     def test_quasisymmetric_examples(self):
         p = Polynomial(3, {(2, 1, 0): 1, (2, 0, 1): 1, (0, 2, 1): 1})
         assert is_quasisymmetric(p) is True

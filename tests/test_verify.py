@@ -160,6 +160,15 @@ def test_bad_bounds():
         run_property("dominance", 3, 3, k_range=(2, 1))
 
 
+@pytest.mark.parametrize("k_range", [(0, 1), (3, 2)])
+def test_bad_k_range_message(k_range):
+    lo, hi = k_range
+    message = f"bad k_range {lo}..{hi}: expected A..B with 1 <= A <= B"
+    with pytest.raises(ValueError) as exc:
+        run_property("lemma41", 2, 2, k_range=k_range)
+    assert str(exc.value) == message
+
+
 def test_brief_rendering():
     assert brief(Filling(())) == "(empty)"
     assert brief(Filling([[2, None], [1]])) == "2 . / 1"
