@@ -12,10 +12,14 @@ Both maps preserve the multiset of entries in every column, hence the
 weight.  Each asserts the validity of its output, so a falsifying input
 raises :class:`~ctrect.tableaux.InvariantViolationError` instead of passing
 silently.  The public maps validate their input; the kernels ``_rho`` and
-``_rho_inv`` trust it and check only their output.
+``_rho_inv`` trust it and check only their output.  ``_rho`` has no
+duplicate check of its own: sorting puts a column's equal entries next to
+each other, so the output check reports them as out of column order.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
 
 from .tableaux import Filling, InvariantViolationError, check_invariant, validate
 
@@ -31,19 +35,11 @@ def rho_inv(t: Filling) -> Filling:
 
 
 def _rho(u: Filling) -> Filling:
-    # u must be a valid composition tableau.
-    rows = u.rows
-    cols: list[list[int]] = []
-    for c in range(max(map(len, rows), default=0)):
-        entries = [row[c] for row in rows if len(row) > c]
-        if len(set(entries)) != len(entries):
-            raise InvariantViolationError(
-                f"column {c + 1} holds duplicate entries; unreachable from a valid composition tableau"
-            )
-        entries.sort(reverse=True)
-        cols.append(entries)
-    height = len(cols[0]) if cols else 0
-    out = [[col[r] for col in cols if len(col) > r] for r in range(height)]
+    # u must be a valid composition tableau.  Its entries are >= 1, so the 0
+    # that zip_longest pads with marks an absent slot and sorts to the
+    # bottom of its column; each row of the result ends at its first 0.
+    cols = [sorted(col, reverse=True) for col in zip_longest(*u.rows, fillvalue=0)]
+    out = [row[: row.index(0)] if 0 in row else row for row in zip(*cols)]
     return check_invariant("rssyt", Filling._trusted(out), "column sort did not produce a reverse SSYT")
 
 

@@ -14,7 +14,8 @@ tableau without a detour through reverse SSYT:
    decreasing, bumping strictly smaller entries; a bumped entry re-inserts
    strictly below its old row, cascading as needed.  Each pulled entry's
    source cell becomes a hole at once, and those holes are the removed
-   boxes of the next column;
+   boxes of the next column.  Inserts fill only the current column, so
+   each round reads only the rows the previous round pulled from;
 5. stop when no entry sits right of a removed box; trailing holes drop.
 
 The result is again a composition tableau and agrees with mapping to the
@@ -33,6 +34,8 @@ shifting, and each match lies below the previous one.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .tableaux import Filling, InvariantViolationError, _validate_k, check_invariant
 
@@ -55,13 +58,10 @@ def _phi(u: Filling, k: int, steps: list[tuple[str, Filling]] | None) -> Filling
     n = u.n_rows
     grid: list[list[int | None]] = [list(row) for row in u.rows]
 
-    def snapshot(label: str) -> None:
-        if steps is not None:
-            steps.append((label, Filling(grid)))
-
-    for row in grid[n - k:]:
-        row[0] = None
-    snapshot(f"remove {k} cell(s) from column 1")
+    if steps is not None:  # the swap overwrites every removed cell that stays
+        for row in grid[n - k:]:
+            row[0] = None
+        steps.append((f"remove {k} cell(s) from column 1", Filling(grid)))
 
     kept = grid[: n - k]
     for row in grid[n - k:]:
@@ -69,25 +69,26 @@ def _phi(u: Filling, k: int, steps: list[tuple[str, Filling]] | None) -> Filling
             row[0], row[1] = row[1], None
             kept.append(row)
     grid = kept
-    snapshot("swap into column 1")
+    if steps is not None:
+        steps.append(("swap into column 1", Filling(grid)))
 
-    grid.sort(key=lambda row: row[0])
-    snapshot("reorder rows")
+    grid.sort(key=itemgetter(0))
+    if steps is not None:
+        steps.append(("reorder rows", Filling(grid)))
 
+    # The rows of the removed boxes (step 4 of the module docstring).
+    sources = [r for r, row in enumerate(grid) if len(row) > 1 and row[1] is None]
     col = 2  # the 1-based column whose removed boxes are being processed
     while True:
-        candidates = [
-            (row[col], r)
-            for r, row in enumerate(grid)
-            if len(row) > col and row[col - 1] is None and row[col] is not None
-        ]
+        candidates = sorted([(-grid[r][col], r) for r in sources if len(grid[r]) > col])
         if not candidates:
             break
-        candidates.sort(key=lambda p: (-p[0], p[1]))
-        for e, r_src in candidates:
+        for neg_e, r_src in candidates:
             grid[r_src][col] = None  # vacate the source before any bump lands
-            _insert(grid, e, col)
-        snapshot(f"column {col} round")
+            _insert(grid, -neg_e, col)
+        if steps is not None:
+            steps.append((f"column {col} round", Filling(grid)))
+        sources = [r for _, r in candidates]
         col += 1
 
     for r, row in enumerate(grid, start=1):
@@ -96,7 +97,8 @@ def _phi(u: Filling, k: int, steps: list[tuple[str, Filling]] | None) -> Filling
         if None in row:
             raise InvariantViolationError(f"internal hole survived in row {r}")
     out = check_invariant("ct", Filling._trusted(grid), "phi did not produce a composition tableau")
-    snapshot("result")
+    if steps is not None:
+        steps.append(("result", out))
     return out
 
 

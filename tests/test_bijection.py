@@ -6,10 +6,12 @@ import pytest
 
 from ctrect import (
     Filling,
+    InvariantViolationError,
     rho,
     rho_inv,
     weight_of,
 )
+from ctrect.bijection import _rho
 from ctrect.polynomials import compositions, enumerate_ct, enumerate_rssyt, partitions
 
 
@@ -46,6 +48,16 @@ def test_rho_rejects_invalid_input():
         rho(Filling([[1, 2]]))  # row increases
     with pytest.raises(InvalidTableauError):
         rho(Filling([[3, 3], [3, 1]]))  # repeated first-column entry
+
+
+@pytest.mark.parametrize("rows", [[[3], [3]], [[3, 2], [2, 2]]])
+def test_rho_kernel_reports_a_column_with_equal_entries(rows):
+    # _rho has no duplicate check of its own: the sorted column holds the
+    # equal entries next to each other, and the output check reports them.
+    with pytest.raises(InvariantViolationError) as exc:
+        _rho(Filling(rows))
+    assert str(exc.value).startswith("column sort did not produce a reverse SSYT: ")
+    assert any(v.rule == "column-order" for v in exc.value.violations)
 
 
 def test_rho_inv_rejects_invalid_input():

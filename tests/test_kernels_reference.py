@@ -1,5 +1,5 @@
-"""The reverse-SSYT kernels against references that keep their first,
-plainer form.
+"""The reverse-SSYT and composition-tableau kernels against references
+that keep their first, plainer form.
 
 The references below are the slide, rectification, eviction, dominant-path
 and shift-report code as first written: the slide reads every neighbour
@@ -8,13 +8,23 @@ rescans a ``taken`` list for every survivor, and the dominant path reads
 slots through ``Filling.entry``.  The library versions must agree with them
 exactly on every small instance: the rectified tableau, every trace (class,
 steps and order), the shift report and the eviction report.
+
+The composition-tableau side keeps ``rho``, ``phi`` and its insertion as
+first written too: ``rho`` gathers each column with a per-column duplicate
+check before sorting it, and ``phi`` scans every row in every column round
+for the next candidates, sorts them with a key function and builds its
+snapshot labels on every call.  ``_rho`` must give the same reverse SSYT on
+every small composition tableau, and ``_phi`` the same tableau and the same
+``phi_steps`` list, labels and snapshot fillings alike, on every (u, k).
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ctrect.ct_rectify import _eviction
+from ctrect.bijection import _rho, rho_inv
+from ctrect.ct_rectify import _eviction, _phi, phi_steps
 from ctrect.jeu_de_taquin import (
     SlideStep,
     SlideTrace,
@@ -23,13 +33,15 @@ from ctrect.jeu_de_taquin import (
     _vacate,
     shifting_entries,
 )
-from ctrect.polynomials import enumerate_rssyt, partitions
-from ctrect.tableaux import Filling, check_invariant
+from ctrect.polynomials import compositions, enumerate_ct, enumerate_rssyt, partitions
+from ctrect.tableaux import Filling, InvariantViolationError, check_invariant
 
 MAX_CELLS = 6
 MAX_ENTRY = 6
 # Per cell count: tableaux, and (tableau, k) cases.  They add up to the
 # 8,113 tableaux of the 6/6 dominance sweep and the 19,148 cases of lemma42.
+# rho maps the composition tableaux one to one onto the reverse SSYT and
+# keeps the number of rows, so both counts hold for composition tableaux too.
 TABLEAUX = {1: 6, 2: 36, 3: 146, 4: 561, 5: 1812, 6: 5552}
 CASES = {1: 6, 2: 51, 3: 256, 4: 1131, 5: 4104, 6: 13600}
 
@@ -114,6 +126,121 @@ def reference_dominant_path(t: Filling) -> list[tuple[int, int, int]]:
     return path
 
 
+def reference_rho(u: Filling) -> Filling:
+    # u must be a valid composition tableau.
+    rows = u.rows
+    cols: list[list[int]] = []
+    for c in range(max(map(len, rows), default=0)):
+        entries = [row[c] for row in rows if len(row) > c]
+        if len(set(entries)) != len(entries):
+            raise InvariantViolationError(
+                f"column {c + 1} holds duplicate entries; unreachable from a valid composition tableau"
+            )
+        entries.sort(reverse=True)
+        cols.append(entries)
+    height = len(cols[0]) if cols else 0
+    out = [[col[r] for col in cols if len(col) > r] for r in range(height)]
+    return check_invariant("rssyt", Filling._trusted(out), "column sort did not produce a reverse SSYT")
+
+
+def reference_phi(u: Filling, k: int, steps: list[tuple[str, Filling]] | None) -> Filling:
+    # The kernel: u must be a valid composition tableau and 1 <= k <= u.n_rows.
+    # Snapshots are taken only when a ``steps`` list is given.
+    n = u.n_rows
+    grid: list[list[int | None]] = [list(row) for row in u.rows]
+
+    def snapshot(label: str) -> None:
+        if steps is not None:
+            steps.append((label, Filling(grid)))
+
+    for row in grid[n - k:]:
+        row[0] = None
+    snapshot(f"remove {k} cell(s) from column 1")
+
+    kept = grid[: n - k]
+    for row in grid[n - k:]:
+        if len(row) > 1:  # a row left empty disappears
+            row[0], row[1] = row[1], None
+            kept.append(row)
+    grid = kept
+    snapshot("swap into column 1")
+
+    grid.sort(key=lambda row: row[0])
+    snapshot("reorder rows")
+
+    col = 2  # the 1-based column whose removed boxes are being processed
+    while True:
+        candidates = [
+            (row[col], r)
+            for r, row in enumerate(grid)
+            if len(row) > col and row[col - 1] is None and row[col] is not None
+        ]
+        if not candidates:
+            break
+        candidates.sort(key=lambda p: (-p[0], p[1]))
+        for e, r_src in candidates:
+            grid[r_src][col] = None  # vacate the source before any bump lands
+            reference_insert(grid, e, col)
+        snapshot(f"column {col} round")
+        col += 1
+
+    for r, row in enumerate(grid, start=1):
+        while row and row[-1] is None:
+            row.pop()
+        if None in row:
+            raise InvariantViolationError(f"internal hole survived in row {r}")
+    out = check_invariant("ct", Filling._trusted(grid), "phi did not produce a composition tableau")
+    snapshot("result")
+    return out
+
+
+def reference_insert(grid: list[list[int | None]], e: int, col: int) -> None:
+    # col is the 1-based target column.  Bumped entries re-enter strictly
+    # below their old row.
+    row_from = 0
+    while True:
+        target = reference_admissible_row(grid, e, col, row_from)
+        if target is None:
+            raise InvariantViolationError(f"no admissible cell in column {col} for entry {e}")
+        row = grid[target]
+        i = col - 1
+        if len(row) == i:
+            row.append(e)
+            return
+        bumped = row[i]
+        row[i] = e
+        if bumped is None:
+            return
+        e, row_from = bumped, target + 1
+
+
+def reference_admissible_row(
+    grid: list[list[int | None]], e: int, col: int, start_row: int
+) -> int | None:
+    # Admissible: left neighbor filled with value >= e, and the slot is a
+    # hole (with the current right neighbor <= e, holes reading 0), is past
+    # the row end, or holds an entry strictly smaller than e (a bump; the
+    # right neighbor is then <= the bumped value < e automatically).
+    i = col - 1
+    for r in range(start_row, len(grid)):
+        row = grid[r]
+        if len(row) < i:
+            continue
+        left = row[i - 1]
+        if left is None or left < e:
+            continue
+        if len(row) == i:
+            return r
+        cur = row[i]
+        if cur is None:
+            right = row[i + 1] if len(row) > i + 1 else None
+            if e >= (0 if right is None else right):
+                return r
+        elif cur < e:
+            return r
+    return None
+
+
 def _tableaux(m: int) -> list[Filling]:
     return [t for shape in partitions(m) for t in enumerate_rssyt(shape, MAX_ENTRY)]
 
@@ -146,3 +273,64 @@ def test_dominant_path_matches_reference(m):
 
 def test_empty_tableau_has_no_path():
     assert _dominant_path(Filling()) == reference_dominant_path(Filling()) == []
+
+
+def _ct_tableaux(m: int) -> list[Filling]:
+    return [u for shape in compositions(m) for u in enumerate_ct(shape, MAX_ENTRY)]
+
+
+@pytest.mark.parametrize("m", range(1, MAX_CELLS + 1))
+def test_rho_matches_reference(m):
+    tableaux = _ct_tableaux(m)
+    for u in tableaux:
+        assert _rho(u) == reference_rho(u), u.rows
+    assert len(tableaux) == TABLEAUX[m]
+
+
+@pytest.mark.parametrize("m", range(1, MAX_CELLS + 1))
+def test_phi_and_its_steps_match_reference(m):
+    cases = 0
+    for u in _ct_tableaux(m):
+        for k in range(1, u.n_rows + 1):
+            ref_steps: list[tuple[str, Filling]] = []
+            ref_out = reference_phi(u, k, ref_steps)
+            steps: list[tuple[str, Filling]] = []
+            where = (u.rows, k)
+            assert _phi(u, k, None) == ref_out, where
+            assert _phi(u, k, steps) == ref_out, where
+            assert steps == ref_steps, where
+            cases += 1
+    assert cases == CASES[m]
+
+
+@st.composite
+def reverse_ssyt(draw, min_cells: int = 8, max_cells: int = 14) -> Filling:
+    """A reverse SSYT past the exhaustive bound: a partition of min_cells to
+    max_cells cells, with entries up to the cell count, filled row by row
+    from the per-cell range ``enumerate_rssyt`` offers, so no draw is
+    rejected.  The draw is not uniform over tableaux."""
+    n = draw(st.integers(min_cells, max_cells))
+    shape: list[int] = []
+    while sum(shape) < n:
+        shape.append(draw(st.integers(1, min(shape[-1] if shape else n, n - sum(shape)))))
+    heights = [sum(part > c for part in shape) for c in range(shape[0])]
+    grid: list[list[int]] = []
+    for r, length in enumerate(shape):
+        row: list[int] = []
+        for c in range(length):
+            hi = min(n, row[c - 1] if c else n, grid[r - 1][c] - 1 if r else n)
+            row.append(draw(st.integers(heights[c] - r, hi)))
+        grid.append(row)
+    return Filling(grid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reverse_ssyt())
+def test_kernels_match_reference_past_the_exhaustive_bound(t):
+    u = rho_inv(t)
+    assert _rho(u) == t
+    for k in range(1, u.n_rows + 1):
+        ref_steps: list[tuple[str, Filling]] = []
+        ref_out = reference_phi(u, k, ref_steps)
+        assert _phi(u, k, None) == ref_out
+        assert phi_steps(u, k) == ref_steps
