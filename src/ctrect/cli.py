@@ -118,6 +118,8 @@ def _print_block(label: str, f: Filling) -> None:
 
 
 def _cmd_rectify(args) -> int:
+    if args.trace and args.json:
+        raise ValueError("--json does not apply to --trace output")
     f = _read_tableau(args.file)
     if args.kind == "rssyt":
         from .jeu_de_taquin import rectify_k, rectify_k_steps, shifting_entries

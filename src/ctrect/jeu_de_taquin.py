@@ -26,10 +26,9 @@ vacated corner of a same-shape output grid.
 
 from __future__ import annotations
 
-from typing import Literal
+from collections import namedtuple
 
 from .tableaux import (
-    Cell,
     Filling,
     InvariantViolationError,
     _Record,
@@ -38,22 +37,17 @@ from .tableaux import (
     validate,
 )
 
-Direction = Literal["up", "left"]
-
 ShiftReport = dict[int, list[int]]
 
 
-class SlideStep(_Record):
-    """One slide: ``entry`` moved from ``from_cell`` into ``to_cell``."""
+class SlideStep(_Record, namedtuple("SlideStep", "from_cell to_cell entry direction")):
+    """One slide: ``entry`` moved from ``from_cell`` into ``to_cell``,
+    ``direction`` ``"up"`` or ``"left"``."""
 
     __slots__ = ()
-    _fields = ("from_cell", "to_cell", "entry", "direction")
-
-    def __new__(cls, from_cell: Cell, to_cell: Cell, entry: int, direction: Direction):
-        return tuple.__new__(cls, (from_cell, to_cell, entry, direction))
 
 
-class SlideTrace(_Record):
+class SlideTrace(_Record, namedtuple("SlideTrace", "removed_entry steps vacated_cell")):
     """Record of sliding one removed cell out of the tableau.
 
     ``steps`` are in path order; ``vacated_cell`` is the corner deleted from
@@ -61,10 +55,6 @@ class SlideTrace(_Record):
     """
 
     __slots__ = ()
-    _fields = ("removed_entry", "steps", "vacated_cell")
-
-    def __new__(cls, removed_entry: int, steps: tuple[SlideStep, ...], vacated_cell: Cell):
-        return tuple.__new__(cls, (removed_entry, steps, vacated_cell))
 
     def left_shifts(self) -> list[tuple[int, int, int]]:
         """(row, column, entry) of each column-crossing slide, in order."""

@@ -22,7 +22,7 @@ properties then ``schur-identities`` 146 times (``schur-identities`` alone,
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
@@ -38,14 +38,13 @@ from .tableaux import (
 )
 
 
-class Polynomial(_Record):
+class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
     """Integer polynomial in ``nvars`` variables as a sparse term map.
 
     Unhashable, since ``terms`` is a dict.
     """
 
     __slots__ = ()
-    _fields = ("nvars", "terms")
 
     def __new__(cls, nvars: int, terms: dict[tuple[int, ...], int]):
         clean = {}

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
-from typing import Callable, Iterable, Iterator, Sequence
+from collections import Counter, namedtuple
+from typing import Iterator
 
 from .bijection import _rho, _rho_inv, rho, rho_inv
 from .ct_rectify import _eviction, _phi
@@ -53,20 +53,19 @@ from .polynomials import (
     schur_expand,
     weight_monomial,
 )
-from .tableaux import Filling, InvariantViolationError, _Record, validate
+from .tableaux import Filling, InvariantViolationError, _Record, render_filling, validate
 
 MAX_RENDERED_COUNTEREXAMPLES = 10
 
 
-class Counterexample(_Record):
+class Counterexample(_Record, namedtuple("Counterexample", "instance expected actual")):
     __slots__ = ()
-    _fields = ("instance", "expected", "actual")
-
-    def __new__(cls, instance: str, expected: str, actual: str):
-        return tuple.__new__(cls, (instance, expected, actual))
 
 
-class VerifyReport(_Record):
+class VerifyReport(
+    _Record,
+    namedtuple("VerifyReport", "name max_cells max_entry k_range instances counterexamples seconds"),
+):
     """Outcome of one property run: bounds, instance count, counterexamples
     and wall time.  ``ok`` exactly when no counterexample was found.
 
@@ -74,23 +73,6 @@ class VerifyReport(_Record):
     """
 
     __slots__ = ()
-    _fields = (
-        "name", "max_cells", "max_entry", "k_range", "instances", "counterexamples", "seconds"
-    )
-
-    def __new__(
-        cls,
-        name: str,
-        max_cells: int,
-        max_entry: int,
-        k_range: tuple[int, int] | None,
-        instances: int,
-        counterexamples: list[Counterexample],
-        seconds: float,
-    ):
-        return tuple.__new__(
-            cls, (name, max_cells, max_entry, k_range, instances, counterexamples, seconds)
-        )
 
     @property
     def ok(self) -> bool:
@@ -125,21 +107,14 @@ class VerifyReport(_Record):
             "max_entry": self.max_entry,
             "k_range": list(self.k_range) if self.k_range else None,
             "instances": self.instances,
-            "counterexamples": [
-                {"instance": ce.instance, "expected": ce.expected, "actual": ce.actual}
-                for ce in self.counterexamples
-            ],
+            "counterexamples": [ce._asdict() for ce in self.counterexamples],
             "seconds": self.seconds,
         }
 
 
 def brief(f: Filling) -> str:
     """One-line rendering for counterexample reports."""
-    if not f.rows:
-        return "(empty)"
-    return " / ".join(
-        " ".join("." if v is None else str(v) for v in row) for row in f.rows
-    )
+    return render_filling(f).replace("\n", " / ") if f.rows else "(empty)"
 
 
 def _format_report(report: dict[int, list[int]]) -> str:
@@ -323,17 +298,8 @@ def _check_schur(kind: str, subject, _cases) -> Iterator[tuple[str, str, str]]:
         )
 
 
-class _Property(_Record):
+class _Property(_Record, namedtuple("_Property", "units subjects check")):
     __slots__ = ()
-    _fields = ("units", "subjects", "check")
-
-    def __new__(
-        cls,
-        units: Callable[[int], list[tuple]],
-        subjects: Callable[[tuple, int, int, int | None], Iterable[tuple[object, Sequence]]],
-        check: Callable[[str, object, Sequence], Iterable[tuple[str, str, str]]],
-    ):
-        return tuple.__new__(cls, (units, subjects, check))
 
 
 PROPERTIES: dict[str, _Property] = {

@@ -197,6 +197,15 @@ class TestRectify:
         assert code == 64
         assert "k must be in" in err
 
+    @pytest.mark.parametrize("kind", ["rssyt", "ct"])
+    def test_trace_with_json_exits_64_before_reading_input(self, capsys, kind):
+        code, out, err = run(
+            capsys, "rectify", "--kind", kind, "--trace", "--json", "/no/such/file.txt"
+        )
+        assert code == 64
+        assert out == ""
+        assert err == "error: --json does not apply to --trace output\n"
+
 
 class TestEviction:
     def test_worked_example(self, capsys):
@@ -394,6 +403,22 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "rho")
         assert code == 0
         assert out == "3 2\n2 1\n"
+
+    def test_trailing_blank_line_accepted(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n2\n\n"))
+        code, out, _ = run(capsys, "rho")
+        assert code == 0
+        assert out == "2 1\n1\n"
+
+    def test_blank_line_between_rows_exits_2(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n\n2\n"))
+        code, _, err = run(capsys, "rho")
+        assert code == 2
+        assert err == "[shape] at (2,1): empty row\n"
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "rho", "/no/such/file.txt")

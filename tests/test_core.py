@@ -44,6 +44,9 @@ class TestParse:
         assert parse_filling("") == Filling(())
         assert parse_filling("  \n \n") == Filling(())
 
+    def test_trailing_blank_lines_dropped(self):
+        assert parse_filling("1 1\n2\n\n") == Filling([[1, 1], [2]])
+
 
 class TestRender:
     def test_empty(self):

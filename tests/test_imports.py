@@ -1,12 +1,14 @@
-"""Import boundary: a call loads only the modules it runs, and the package's
-public names resolve on first access.
+"""Import boundary: a call loads only the modules it runs, the package's
+public names resolve on first access, and no module imports a name it does
+not use.
 
-Every check runs in a fresh interpreter, since the test process has long
-since imported everything.
+Every load check runs in a fresh interpreter, since the test process has
+long since imported everything.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -59,7 +61,7 @@ def test_ct_rectify_commands_load_no_slides(argv):
     assert run_fresh(code) is False
 
 
-# Each record is a hand-written class and JSON is read or written only on
+# Each record is a namedtuple subclass and JSON is read or written only on
 # request, so a text call loads neither ``dataclasses`` (with the ``inspect``
 # it pulls in) nor ``json``.
 LAZY = ("dataclasses", "inspect", "json")
@@ -164,3 +166,27 @@ except AttributeError as exc:
     print(json.dumps(str(exc)))
 """
     assert run_fresh(code) == "module 'ctrect' has no attribute 'no_such_name'"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an ``import`` statement anywhere in ``source`` that no
+    expression of the module reads; ``from __future__`` imports are exempt."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_imports_finds_an_unused_name():
+    source = "from __future__ import annotations\nimport os.path\nfrom a import b as c, d\nd()\n"
+    assert unused_imports(source) == ["os", "c"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(SRC, "ctrect").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_does_not_use(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from ctrect import run_property, tableaux, verify
-from ctrect.verify import PROPERTY_NAMES, brief
+from ctrect.verify import PROPERTY_NAMES, Counterexample, VerifyReport, brief
 from ctrect import Filling, InvalidTableauError
 
 
@@ -148,6 +150,18 @@ def test_report_json_fields():
     assert data["seconds"] >= 0
 
 
+def test_report_json_with_a_counterexample():
+    report = VerifyReport("lemma42", 3, 4, (1, 2), 5, [Counterexample("i", "e", "a")], 0.5)
+    data = report.to_json()
+    assert data["counterexamples"] == [{"instance": "i", "expected": "e", "actual": "a"}]
+    assert list(data["counterexamples"][0]) == ["instance", "expected", "actual"]
+    assert json.dumps(data) == (
+        '{"property": "lemma42", "max_cells": 3, "max_entry": 4, "k_range": [1, 2],'
+        ' "instances": 5, "counterexamples": [{"instance": "i", "expected": "e", "actual": "a"}],'
+        ' "seconds": 0.5}'
+    )
+
+
 def test_unknown_property():
     with pytest.raises(ValueError):
         run_property("nope", 3, 3)
@@ -172,3 +186,4 @@ def test_bad_k_range_message(k_range):
 def test_brief_rendering():
     assert brief(Filling(())) == "(empty)"
     assert brief(Filling([[2, None], [1]])) == "2 . / 1"
+    assert brief(Filling([[1], []])) == "1 / "
