@@ -59,6 +59,11 @@ class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
         return tuple.__new__(cls, (nvars, clean))
 
     @classmethod
+    def _make(cls, iterable: Iterable) -> "Polynomial":
+        # namedtuple's own _make, which _replace calls, would skip __new__.
+        return cls(*iterable)
+
+    @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
         return cls(nvars, {})
 

@@ -240,8 +240,11 @@ def parse_filling(text: str) -> Filling:
 
 
 def render_filling(f: Filling) -> str:
-    """Render a filling in the text format, tokens joined by single spaces;
-    ``parse_filling`` inverts it."""
+    """Render a filling in the text format, tokens joined by single spaces.
+
+    ``parse_filling`` inverts it for every filling whose last row is not
+    empty, every valid tableau among them; trailing empty rows render as
+    blank lines, which the parser drops."""
     return "\n".join(
         " ".join(HOLE_TOKEN if v is None else str(v) for v in row)
         for row in f.rows
@@ -306,146 +309,99 @@ def violations(kind: TableauKind, f: Filling) -> list[Violation]:
     entries fail immediately with dedicated violations; the structural rules
     assume a hole-free grid and are skipped in that case.
 
-    For ``ct`` and ``rssyt`` a valid filling takes one early-exit scan that
-    builds nothing; the rule-by-rule listing runs only for a filling that
-    breaks a rule, and always for ``ssyt`` and ``syt``.
+    One bottom-up pass over the rows checks every rule and builds nothing for
+    a valid filling: a row is listed only when it breaks a rule.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown tableau kind {kind!r}")
     rows = f.rows
-    if (kind == "ct" or kind == "rssyt") and _accepts(kind, rows):
-        return []
-    vs: list[Violation] = []
-    for r, row in enumerate(rows, start=1):
-        if None in row or 0 in row:
-            for c, v in enumerate(row, start=1):
-                if v is None:
-                    vs.append(Violation("hole", (r, c), "holes are not allowed in a validated tableau"))
-                elif v == 0:
-                    vs.append(Violation("entry", (r, c), "entries must be positive"))
-    if vs:
-        return vs
-    if () in rows:
-        return [Violation("shape", (r, 1), "empty row") for r, row in enumerate(rows, start=1) if not row]
-
-    young = kind != "ct"
-    if young:
-        for r in range(1, len(rows)):
-            if len(rows[r]) > len(rows[r - 1]):
-                vs.append(Violation("shape", (r + 1, 1), "row is longer than the row above"))
-
-    increasing_rows = kind in ("ssyt", "syt")
-    for r, row in enumerate(rows, start=1):
-        if list(row) == sorted(row, reverse=not increasing_rows):
-            continue  # already in order: nothing to report
-        for c, (a, b) in enumerate(zip(row, row[1:]), start=2):
-            if increasing_rows and a > b:
-                vs.append(Violation("row-order", (r, c), f"{b} < {a}: rows must weakly increase"))
-            elif not increasing_rows and a < b:
-                vs.append(Violation("row-order", (r, c), f"{b} > {a}: rows must weakly decrease"))
-
-    if young:
-        # Scanned row pair by row pair; reported column by column.
-        decreasing = kind == "rssyt"
-        hits = [
-            (c, r, upper, lower)
-            for r, (upper_row, lower_row) in enumerate(zip(rows, rows[1:]), start=2)
-            for c, (upper, lower) in enumerate(zip(upper_row, lower_row), start=1)
-            if (lower >= upper if decreasing else lower <= upper)
-        ]
-        for c, r, upper, lower in sorted(hits):
-            message = (
-                f"{lower} >= {upper}: columns must strictly decrease"
-                if decreasing
-                else f"{lower} <= {upper}: columns must strictly increase"
-            )
-            vs.append(Violation("column-order", (r, c), message))
-
-    if kind == "syt":
-        entries = sorted(v for row in rows for v in row)
-        if entries != list(range(1, len(entries) + 1)):
-            vs.append(
-                Violation("content", (1, 1), f"entries must be exactly 1..{len(entries)}, each used once")
-            )
-
-    if kind == "ct":
-        for r in range(1, len(rows)):
-            above, below = rows[r - 1][0], rows[r][0]
-            if below <= above:
-                vs.append(
-                    Violation(
-                        "first-column",
-                        (r + 1, 1),
-                        f"{below} <= {above}: first column must strictly increase",
-                    )
-                )
-        vs.extend(_triple_rule_violations(rows))
-
-    return vs
-
-
-def _accepts(kind: TableauKind, rows: tuple[Row, ...]) -> bool:
-    # True exactly when violations(kind, ...) is empty, for kind "ct" or
-    # "rssyt".  One bottom-up pass that returns at the first broken rule.
-    # Slots are ints >= 0 or None (Filling rejects anything else), so once a
-    # row holds no hole and no 0 its slots compare without raising.
-    rssyt = kind == "rssyt"
+    ct = kind == "ct"
+    sign, rel, word = 1, ">", "decrease"
+    # (key, violation); the keys sort the report: shape, row-order,
+    # column-order by column, content, first-column, triple by column.
+    hits: list[tuple[tuple[int, ...], Violation]] = []
+    if not ct and kind != "rssyt":
+        if kind not in KINDS:
+            raise ValueError(f"unknown tableau kind {kind!r}")
+        if kind == "syt":
+            # Holes and zeros are dropped here; they end the pass anyway.
+            entries = sorted(v for row in rows for v in row if v)
+            if entries != list(range(1, len(entries) + 1)):
+                message = f"entries must be exactly 1..{len(entries)}, each used once"
+                hits.append(((3,), Violation("content", (1, 1), message)))
+        # An ssyt is an rssyt of the negated entries; holes and zeros stay.
+        sign, rel, word = -1, "<", "increase"
+        rows = tuple(tuple(v and -v for v in row) for row in rows)
+    # Slots are ints or None (Filling rejects anything else), so once a row
+    # holds no hole its slots compare without raising.
+    r = len(rows)  # the 1-based index of row
     below: Row = ()
     tails: list[Row] = []  # ct: row[1:] of each row below with 2+ slots
     for row in reversed(rows):
         if not row or None in row or 0 in row:
-            return False
+            return _defects(f.rows)
         prev = row[0]
         for v in row:
             if v > prev:
-                return False
+                for c, (a, b) in enumerate(zip(row, row[1:]), start=2):
+                    if a < b:
+                        message = f"{sign * b} {rel} {sign * a}: rows must weakly {word}"
+                        hits.append(((1, r, c), Violation("row-order", (r, c), message)))
+                break
             prev = v
-        if rssyt:
-            if len(below) > len(row):
-                return False
-            for upper, lower in zip(row, below):
-                if lower >= upper:
-                    return False
-        else:
+        if ct:
             if below and below[0] <= row[0]:
-                return False
-            # The triple rule of _triple_rule_violations: no b below a with
-            # a <= b <= left, where `left` is the c-cell and a the slot right
-            # of it (0 when absent).
+                message = f"{below[0]} <= {row[0]}: first column must strictly increase"
+                hits.append(((4, r + 1), Violation("first-column", (r + 1, 1), message)))
+            # The triple rule: for the cell `left` at (r, c), a = (r, c+1)
+            # (0 when absent) and any b = (r2, c+1) below, a <= b implies
+            # b > left.
             tail = row[1:]
             if tails:
                 padded = tail + (0,)
                 for lower in tails:
                     for left, a, b in zip(row, padded, lower):
                         if a <= b <= left:
-                            return False
+                            break
+                    else:
+                        continue
+                    for r2, row2 in enumerate(rows[r:], start=r + 1):
+                        for c, (left, a, b) in enumerate(zip(row, padded, row2[1:]), start=1):
+                            if a <= b <= left:
+                                message = (
+                                    f"a={a} at ({r},{c + 1}), c={left} at ({r},{c}): "
+                                    f"a <= b={b} but b is not > c"
+                                )
+                                hits.append(((5, c, r, r2), Violation("triple", (r2, c + 1), message)))
+                    break
             if tail:
                 tails.append(tail)
+        else:
+            if len(below) > len(row):
+                message = "row is longer than the row above"
+                hits.append(((0, r + 1), Violation("shape", (r + 1, 1), message)))
+            for upper, lower in zip(row, below):
+                if lower >= upper:
+                    for c, (upper, lower) in enumerate(zip(row, below), start=1):
+                        if lower >= upper:
+                            message = f"{sign * lower} {rel}= {sign * upper}: columns must strictly {word}"
+                            hits.append(((2, c, r + 1), Violation("column-order", (r + 1, c), message)))
+                    break
         below = row
-    return True
+        r -= 1
+    return [v for _, v in sorted(hits)] if hits else hits
 
 
-def _triple_rule_violations(rows: tuple[Row, ...]) -> list[Violation]:
-    # For each pair of columns (c, c+1) and rows r1 < r2: a = (r1, c+1),
-    # c-cell = (r1, c), b = (r2, c+1).  b ranges over filled slots; a and the
-    # c-cell read 0 when absent.  Rule: a <= b implies b > c-cell.  The rows
-    # hold no holes.  Scanning row by row skips absent c-cells cheaply (b > 0
-    # holds for every filled b); the hits are reported column by column.
-    hits = []
-    for r1, row in enumerate(rows, start=1):
-        for c, left in enumerate(row, start=1):
-            a = row[c] if len(row) > c else 0
-            for r2, lower in enumerate(rows[r1:], start=r1 + 1):
-                if len(lower) > c and a <= lower[c] <= left:
-                    hits.append((c, r1, r2, a, left, lower[c]))
-    return [
-        Violation(
-            "triple",
-            (r2, c + 1),
-            f"a={a} at ({r1},{c + 1}), c={left} at ({r1},{c}): a <= b={b} but b is not > c",
-        )
-        for c, r1, r2, a, left, b in sorted(hits)
+def _defects(rows: tuple[Row, ...]) -> list[Violation]:
+    # Every hole and zero in row-major order or, when there is none, every
+    # empty row.
+    vs = [
+        Violation("hole", (r, c), "holes are not allowed in a validated tableau")
+        if v is None
+        else Violation("entry", (r, c), "entries must be positive")
+        for r, row in enumerate(rows, start=1)
+        for c, v in enumerate(row, start=1)
+        if not v
     ]
+    return vs or [Violation("shape", (r, 1), "empty row") for r, row in enumerate(rows, start=1) if not row]
 
 
 def validate(kind: TableauKind, f: Filling) -> Filling:

@@ -1,6 +1,6 @@
 """Import boundary: a call loads only the modules it runs, the package's
-public names resolve on first access, and no module imports a name it does
-not use.
+public names resolve on first access, no module imports a name it does not
+use, and every private module-level name is read somewhere in the package.
 
 Every load check runs in a fresh interpreter, since the test process has
 long since imported everything.
@@ -190,3 +190,45 @@ def test_unused_imports_finds_an_unused_name():
 @pytest.mark.parametrize("path", sorted(Path(SRC, "ctrect").glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Private functions, classes and constants bound at the top level of
+    any of ``sources`` that no expression in any of them reads, as a name or
+    an attribute; dunders such as ``__getattr__`` are exempt."""
+    trees = [ast.parse(source) for source in sources]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [
+        name
+        for name in defined
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__")) and name not in read
+    ]
+
+
+def test_unread_private_names_finds_an_unread_name():
+    source = (
+        "def _kept(): pass\ndef _dropped(): pass\ndef __getattr__(name): pass\n"
+        "class _Unused: pass\n_LIMIT, _seen = 3, 1\n_typed: int = 2\npublic = _kept() + _seen\n"
+    )
+    assert unread_private_names([source]) == ["_dropped", "_Unused", "_LIMIT", "_typed"]
+    # A read in another module, as a name or an attribute, counts.
+    assert unread_private_names([source, "from m import _LIMIT\n_LIMIT\nm._typed\n"]) == ["_dropped", "_Unused"]
+
+
+def test_every_private_name_is_read_in_the_package():
+    paths = sorted(Path(SRC, "ctrect").glob("*.py"))
+    assert unread_private_names([path.read_text(encoding="utf-8") for path in paths]) == []

@@ -106,6 +106,17 @@ def test_constructors_normalise_and_validate():
         Polynomial(2, {(1,): 1})
 
 
+def test_polynomial_replace_and_make_check_and_clean_terms():
+    p = Polynomial(2, {(1, 0): 1})
+    with pytest.raises(ValueError, match=r"exponent vector \(1,\) does not have 2 entries"):
+        p._replace(terms={(1,): 0, (-1, 5, 5): 3})
+    with pytest.raises(ValueError, match="negative exponent"):
+        p._replace(terms={(-1, 5): 3})
+    assert p._replace(terms={(0, 1): 0, (1, 1): 2}) == Polynomial(2, {(1, 1): 2})
+    assert p._replace(terms={(0, 1): 0, (1, 1): 2}).terms == {(1, 1): 2}
+    assert Polynomial._make([2, {(1, 1): 0}]) == Polynomial.zero(2)
+
+
 def test_construction_hook_sees_validated_fillings_only():
     # What the benchmark's traced run does to count constructions: wrap the
     # class attribute, construct, put the original back.

@@ -2,8 +2,9 @@
 ``Filling.entry``.
 
 The reference is the original cell-by-cell statement of the rules.  The
-library version works on the row tuples directly; both must return the same
-violations (rule, cell and message) in the same order for every kind.
+library version checks them all in one bottom-up pass over the row tuples;
+both must return the same violations (rule, cell and message) in the same
+order for every kind.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 import pytest
 
 from ctrect import KINDS, Filling, Violation, violations
-from ctrect.polynomials import compositions, enumerate_ct, enumerate_rssyt, partitions
+from ctrect.polynomials import compositions, enumerate_ct, enumerate_rssyt, enumerate_ssyt, partitions
 
 
 def reference_violations(kind: str, f: Filling) -> list[Violation]:
@@ -153,10 +154,12 @@ def _one_slot_neighbours(rows: tuple) -> list[tuple]:
 
 
 def test_matches_reference_one_slot_from_valid():
-    # The fast accept path of violations decides exactly this boundary:
-    # valid tableaux and the fillings one edit away from them.
+    # Where the one pass of violations turns from building nothing to
+    # listing rows: valid tableaux of every kind and the fillings one edit
+    # away from them.
     valid = [u for m in range(1, 5) for shape in compositions(m) for u in enumerate_ct(shape, 4)]
     valid += [t for m in range(1, 5) for shape in partitions(m) for t in enumerate_rssyt(shape, 4)]
+    valid += [t for m in range(1, 5) for shape in partitions(m) for t in enumerate_ssyt(shape, 4)]
     for f in valid:
         for rows in _one_slot_neighbours(f.rows):
             g = Filling(rows)
