@@ -9,15 +9,14 @@ monomial quasisymmetric polynomials (sum over order-preserving placements of
 the exponent sequence).  ``is_symmetric`` and ``is_quasisymmetric`` test the
 corresponding coefficient conditions directly.
 
-Reverse SSYT and composition tableaux come from one backtracker, which
-fills the cells in row-reading order from per-cell candidates, so both are
-listed lexicographically by row-reading word; semistandard Young tableaux
-are the complements of reverse ones.  The three enumerators are cached.
-The cache pays off when several ``verify`` properties run in one process:
-at 6 cells and entries <= 6, ``commutativity`` alone hits it 0 times,
-``roundtrip`` then ``commutativity`` 63 times, and the four reverse-SSYT
-properties then ``schur-identities`` 146 times (``schur-identities`` alone,
-30 times).
+Reverse SSYT and composition tableaux come from one iterative backtracker,
+which fills the cells in row-reading order from per-cell candidates, so
+both are listed lexicographically by row-reading word; semistandard Young
+tableaux are the complements of reverse ones.  The private streams
+``_rssyt_fillings`` and ``_ct_fillings`` yield one tableau at a time and keep
+none, so ``verify`` and ``schur_expand`` run in memory that does not grow
+with the bounds.  The public ``enumerate_*`` return the same tableaux, in
+the same order, as cached tuples.
 """
 
 from __future__ import annotations
@@ -172,30 +171,83 @@ def compositions(n: int) -> list[CompositionShape]:
 
 def _fillings(
     shape: tuple[int, ...],
-    max_entry: int,
     choices: Callable[[list[list[int]], int, int], Iterable[int]],
-) -> tuple[Filling, ...]:
+) -> Iterator[Filling]:
     """Every filling of ``shape`` that puts at each cell, in row-reading
     order, a value ``choices(grid, r, c)`` offers.  ``grid`` holds the values
     placed before (r, c); later cells hold stale ones.  Ascending choices
-    give the fillings in lexicographic order of their row-reading words."""
-    if max_entry < 1:
-        raise ValueError("max_entry must be >= 1")
+    give the fillings in lexicographic order of their row-reading words.
+
+    One frame walks the cells with a stack of per-cell choice iterators;
+    each filling is built with the trusted constructor, since every value
+    comes from a range that the shape and the largest entry bound."""
     cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
     grid = [[0] * length for length in shape]
-    out: list[Filling] = []
+    trusted = Filling._trusted
+    if not cells:
+        yield trusted(grid)
+        return
+    stack = [iter(choices(grid, *cells[0]))]
+    while stack:
+        depth = len(stack)
+        r, c = cells[depth - 1]
+        row = grid[r]
+        for v in stack[-1]:
+            row[c] = v
+            if depth < len(cells):
+                stack.append(iter(choices(grid, *cells[depth])))
+                break
+            yield trusted(grid)
+        else:
+            stack.pop()
 
-    def place(i: int) -> None:
-        if i == len(cells):
-            out.append(Filling([row[:] for row in grid]))
-            return
-        r, c = cells[i]
-        for v in choices(grid, r, c):
-            grid[r][c] = v
-            place(i + 1)
 
-    place(0)
-    return tuple(out)
+def _rssyt_fillings(shape: PartitionShape, max_entry: int) -> Iterator[Filling]:
+    """The reverse SSYT of ``enumerate_rssyt``, one at a time; the arguments
+    are checked at the call."""
+    if shape and not is_partition_shape(shape):
+        raise ValueError(f"{shape} is not a partition shape")
+    if max_entry < 1:
+        raise ValueError("max_entry must be >= 1")
+    heights = [sum(part > c for part in shape) for c in range(max(shape, default=0))]
+
+    def choices(grid: list[list[int]], r: int, c: int) -> range:
+        # Rows weakly decrease, columns strictly; the heights[c] - r - 1
+        # cells below need values under this one.
+        hi = max_entry
+        if c > 0:
+            hi = min(hi, grid[r][c - 1])
+        if r > 0:
+            hi = min(hi, grid[r - 1][c] - 1)
+        return range(heights[c] - r, hi + 1)
+
+    return _fillings(shape, choices)
+
+
+def _ct_fillings(shape: CompositionShape, max_entry: int) -> Iterator[Filling]:
+    """The composition tableaux of ``enumerate_ct``, one at a time; the
+    arguments are checked at the call."""
+    if any(part < 1 for part in shape):
+        raise ValueError(f"{shape} is not a composition shape")
+    if max_entry < 1:
+        raise ValueError("max_entry must be >= 1")
+
+    def choices(grid: list[list[int]], r: int, c: int) -> Iterable[int]:
+        # The first column strictly increases and a row weakly decreases.
+        if c == 0:
+            return range(grid[r - 1][0] + 1 if r > 0 else 1, max_entry + 1)
+        # No triple with a complete row above: b at (r, c) may not lie in
+        # [a, left] for its a (0 when absent) and left; a row without a
+        # c-cell (shape[r1] < c) forms none, since b > 0.
+        barred = {
+            b
+            for r1 in range(r)
+            if shape[r1] >= c
+            for b in range(grid[r1][c] if shape[r1] > c else 0, grid[r1][c - 1] + 1)
+        }
+        return [v for v in range(1, grid[r][c - 1] + 1) if v not in barred]
+
+    return _fillings(shape, choices)
 
 
 @lru_cache(maxsize=None)
@@ -217,46 +269,14 @@ def enumerate_ssyt(shape: PartitionShape, max_entry: int) -> tuple[Filling, ...]
 def enumerate_rssyt(shape: PartitionShape, max_entry: int) -> tuple[Filling, ...]:
     """All reverse semistandard Young tableaux of the shape (a tuple) with
     entries <= max_entry, ordered lexicographically by row-reading word."""
-    if shape and not is_partition_shape(shape):
-        raise ValueError(f"{shape} is not a partition shape")
-    heights = [sum(part > c for part in shape) for c in range(max(shape, default=0))]
-
-    def choices(grid: list[list[int]], r: int, c: int) -> range:
-        # Rows weakly decrease, columns strictly; the heights[c] - r - 1
-        # cells below need values under this one.
-        hi = max_entry
-        if c > 0:
-            hi = min(hi, grid[r][c - 1])
-        if r > 0:
-            hi = min(hi, grid[r - 1][c] - 1)
-        return range(heights[c] - r, hi + 1)
-
-    return _fillings(shape, max_entry, choices)
+    return tuple(_rssyt_fillings(shape, max_entry))
 
 
 @lru_cache(maxsize=None)
 def enumerate_ct(shape: CompositionShape, max_entry: int) -> tuple[Filling, ...]:
     """All composition tableaux of the shape (a tuple) with entries <=
     max_entry, ordered lexicographically by row-reading word."""
-    if any(part < 1 for part in shape):
-        raise ValueError(f"{shape} is not a composition shape")
-
-    def choices(grid: list[list[int]], r: int, c: int) -> Iterable[int]:
-        # The first column strictly increases and a row weakly decreases.
-        if c == 0:
-            return range(grid[r - 1][0] + 1 if r > 0 else 1, max_entry + 1)
-        # No triple with a complete row above: b at (r, c) may not lie in
-        # [a, left] for its a (0 when absent) and left; a row without a
-        # c-cell (shape[r1] < c) forms none, since b > 0.
-        barred = {
-            b
-            for r1 in range(r)
-            if shape[r1] >= c
-            for b in range(grid[r1][c] if shape[r1] > c else 0, grid[r1][c - 1] + 1)
-        }
-        return [v for v in range(1, grid[r][c - 1] + 1) if v not in barred]
-
-    return _fillings(shape, max_entry, choices)
+    return tuple(_ct_fillings(shape, max_entry))
 
 
 def weight_monomial(f: Filling, nvars: int) -> tuple[int, ...]:
@@ -276,10 +296,13 @@ def weight_monomial(f: Filling, nvars: int) -> tuple[int, ...]:
 
 
 def schur_expand(shape: PartitionShape, nvars: int) -> Polynomial:
-    """Schur polynomial: sum of weight monomials over all SSYT of the shape."""
+    """Schur polynomial: sum of weight monomials over all SSYT of the shape.
+
+    Each SSYT is the complement of a reverse SSYT, whose weight is the
+    SSYT's reversed, so the sum runs over the reverse-SSYT stream."""
     return Polynomial.from_monomials(
         nvars,
-        ((weight_monomial(t, nvars), 1) for t in enumerate_ssyt(tuple(shape), nvars)),
+        ((weight_monomial(t, nvars)[::-1], 1) for t in _rssyt_fillings(tuple(shape), nvars)),
     )
 
 

@@ -134,8 +134,10 @@ class Filling:
 
     @classmethod
     def _trusted(cls, rows: Iterable[Iterable[int | None]]) -> "Filling":
-        """Build a filling whose slots all come from validated fillings,
-        skipping the per-slot type check of the public constructor."""
+        """Build a filling whose slots all come from validated fillings, or
+        from the enumerators' ranges of positive integers that the shape and
+        the largest entry bound, skipping the per-slot type check of the
+        public constructor."""
         f = object.__new__(cls)
         _set_rows(f, tuple(map(tuple, rows)))
         return f

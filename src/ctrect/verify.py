@@ -41,10 +41,10 @@ from .jeu_de_taquin import (
     shifting_entries,
 )
 from .polynomials import (
+    _ct_fillings,
     _rearrangements,
+    _rssyt_fillings,
     compositions,
-    enumerate_ct,
-    enumerate_rssyt,
     monomial_qsym_expand,
     monomial_sym_expand,
     is_quasisymmetric,
@@ -152,8 +152,9 @@ def _k_bounds(rows: int, k_lo: int, k_hi: int | None) -> range:
 # instance per case.  Its ``check`` takes the unit's kind, a subject and its
 # cases, and yields (instance, expected, actual) for each failing case.
 # Counting, collecting and errors are left to the driver, ``_check_unit``.
+# The tableaux are streamed: none is kept past its check.
 
-_ENUMERATE = {"ct": enumerate_ct, "rssyt": enumerate_rssyt}
+_ENUMERATE = {"ct": _ct_fillings, "rssyt": _rssyt_fillings}
 _ONCE = (None,)
 
 
@@ -281,9 +282,9 @@ def _check_schur(kind: str, subject, _cases) -> Iterator[tuple[str, str, str]]:
     shape, max_entry = subject
     for n in range(1, max_entry + 1):
         ct_weights = Counter(
-            weight_monomial(u, n) for comp in _rearrangements(shape) for u in enumerate_ct(comp, n)
+            weight_monomial(u, n) for comp in _rearrangements(shape) for u in _ct_fillings(comp, n)
         )
-        if ct_weights != Counter(weight_monomial(t, n) for t in enumerate_rssyt(shape, n)):
+        if ct_weights != Counter(weight_monomial(t, n) for t in _rssyt_fillings(shape, n)):
             yield (
                 f"shape {shape}, {n} variables",
                 "composition-tableau and reverse-SSYT weight sums agree",

@@ -9,6 +9,9 @@ from ctrect import (
     Filling,
     InvalidTableauError,
     InvariantViolationError,
+    bijection,
+    ct_rectify,
+    jeu_de_taquin,
     phi,
     phi_steps,
     rectify_k,
@@ -89,9 +92,27 @@ def test_corrupted_kernel_output_is_caught(monkeypatch, call, kind, message):
     assert str(exc.value) == message + str(exc.value.violations[0])
 
 
+class _ReversedOutput(Filling):
+    """Put in place of ``Filling`` in the kernel modules: each kernel output
+    comes out with its rows reversed, and nothing else changes.  The
+    enumerators build through ``Filling._trusted`` too, so patching that
+    method itself would corrupt the enumerated inputs as well."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, rows):
+        return Filling(list(rows)[::-1])
+
+
+def _corrupt_kernel_outputs(monkeypatch):
+    for module in (bijection, ct_rectify, jeu_de_taquin):
+        monkeypatch.setattr(module, "Filling", _ReversedOutput)
+
+
 def test_verify_reports_corrupted_kernel_output(monkeypatch):
     # The harness calls the kernels directly; their output checks still run.
-    monkeypatch.setattr(Filling, "_trusted", classmethod(lambda cls, rows: Filling(list(rows)[::-1])))
+    _corrupt_kernel_outputs(monkeypatch)
     report = run_property("roundtrip", 3, 3)
     assert not report.ok
     assert all(ce.actual.startswith("error: ") for ce in report.counterexamples)
@@ -112,10 +133,9 @@ FIRST_KERNEL_MESSAGE = {
 def test_every_kernel_property_reports_corrupted_kernel_output(monkeypatch, name):
     # The error becomes a counterexample instead of escaping run_property,
     # and the instances it prevents still count.  schur-identities calls no
-    # kernel and is not run here: the cached enumerate_ssyt builds through
-    # the patched constructor.
+    # kernel and is not run here.
     instances = run_property(name, 3, 3).instances
-    monkeypatch.setattr(Filling, "_trusted", classmethod(lambda cls, rows: Filling(list(rows)[::-1])))
+    _corrupt_kernel_outputs(monkeypatch)
     report = run_property(name, 3, 3)
     assert report.instances == instances
     assert not report.ok

@@ -16,9 +16,19 @@ for the next candidates, sorts them with a key function and builds its
 snapshot labels on every call.  ``_rho`` must give the same reverse SSYT on
 every small composition tableau, and ``_phi`` the same tableau and the same
 ``phi_steps`` list, labels and snapshot fillings alike, on every (u, k).
+
+The enumerators keep their recursive form: ``_fillings`` places each cell
+in a nested call, collects every filling into a list through the validating
+constructor, and ``enumerate_ssyt`` complements the reverse SSYT; the Schur
+polynomial sums weight monomials over those SSYT.  The streams, the public
+tuples and ``schur_expand`` must give the same tableaux, in the same order,
+and the same polynomials.  (The ``lru_cache`` of the public enumerators is
+left off the references.)
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterable
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,8 +43,19 @@ from ctrect.jeu_de_taquin import (
     _vacate,
     shifting_entries,
 )
-from ctrect.polynomials import compositions, enumerate_ct, enumerate_rssyt, partitions
-from ctrect.tableaux import Filling, InvariantViolationError, check_invariant
+from ctrect.polynomials import (
+    Polynomial,
+    _ct_fillings,
+    _rssyt_fillings,
+    compositions,
+    enumerate_ct,
+    enumerate_rssyt,
+    enumerate_ssyt,
+    partitions,
+    schur_expand,
+    weight_monomial,
+)
+from ctrect.tableaux import Filling, InvariantViolationError, check_invariant, is_partition_shape
 
 MAX_CELLS = 6
 MAX_ENTRY = 6
@@ -241,6 +262,100 @@ def reference_admissible_row(
     return None
 
 
+def reference_fillings(
+    shape: tuple[int, ...],
+    max_entry: int,
+    choices: Callable[[list[list[int]], int, int], Iterable[int]],
+) -> tuple[Filling, ...]:
+    """Every filling of ``shape`` that puts at each cell, in row-reading
+    order, a value ``choices(grid, r, c)`` offers.  ``grid`` holds the values
+    placed before (r, c); later cells hold stale ones.  Ascending choices
+    give the fillings in lexicographic order of their row-reading words."""
+    if max_entry < 1:
+        raise ValueError("max_entry must be >= 1")
+    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
+    grid = [[0] * length for length in shape]
+    out: list[Filling] = []
+
+    def place(i: int) -> None:
+        if i == len(cells):
+            out.append(Filling([row[:] for row in grid]))
+            return
+        r, c = cells[i]
+        for v in choices(grid, r, c):
+            grid[r][c] = v
+            place(i + 1)
+
+    place(0)
+    return tuple(out)
+
+
+def reference_enumerate_ssyt(shape: tuple[int, ...], max_entry: int) -> tuple[Filling, ...]:
+    """All semistandard Young tableaux of the shape (a tuple) with entries <=
+    max_entry, ordered lexicographically by row-reading word.
+
+    v -> max_entry + 1 - v maps them one to one onto the reverse SSYT of the
+    shape and reverses the order of the words.
+    """
+    top = max_entry + 1
+    return tuple(
+        Filling._trusted([top - v for v in row] for row in t.rows)
+        for t in reversed(reference_enumerate_rssyt(shape, max_entry))
+    )
+
+
+def reference_enumerate_rssyt(shape: tuple[int, ...], max_entry: int) -> tuple[Filling, ...]:
+    """All reverse semistandard Young tableaux of the shape (a tuple) with
+    entries <= max_entry, ordered lexicographically by row-reading word."""
+    if shape and not is_partition_shape(shape):
+        raise ValueError(f"{shape} is not a partition shape")
+    heights = [sum(part > c for part in shape) for c in range(max(shape, default=0))]
+
+    def choices(grid: list[list[int]], r: int, c: int) -> range:
+        # Rows weakly decrease, columns strictly; the heights[c] - r - 1
+        # cells below need values under this one.
+        hi = max_entry
+        if c > 0:
+            hi = min(hi, grid[r][c - 1])
+        if r > 0:
+            hi = min(hi, grid[r - 1][c] - 1)
+        return range(heights[c] - r, hi + 1)
+
+    return reference_fillings(shape, max_entry, choices)
+
+
+def reference_enumerate_ct(shape: tuple[int, ...], max_entry: int) -> tuple[Filling, ...]:
+    """All composition tableaux of the shape (a tuple) with entries <=
+    max_entry, ordered lexicographically by row-reading word."""
+    if any(part < 1 for part in shape):
+        raise ValueError(f"{shape} is not a composition shape")
+
+    def choices(grid: list[list[int]], r: int, c: int) -> Iterable[int]:
+        # The first column strictly increases and a row weakly decreases.
+        if c == 0:
+            return range(grid[r - 1][0] + 1 if r > 0 else 1, max_entry + 1)
+        # No triple with a complete row above: b at (r, c) may not lie in
+        # [a, left] for its a (0 when absent) and left; a row without a
+        # c-cell (shape[r1] < c) forms none, since b > 0.
+        barred = {
+            b
+            for r1 in range(r)
+            if shape[r1] >= c
+            for b in range(grid[r1][c] if shape[r1] > c else 0, grid[r1][c - 1] + 1)
+        }
+        return [v for v in range(1, grid[r][c - 1] + 1) if v not in barred]
+
+    return reference_fillings(shape, max_entry, choices)
+
+
+def reference_schur_expand(shape: tuple[int, ...], nvars: int) -> Polynomial:
+    """Schur polynomial: sum of weight monomials over all SSYT of the shape."""
+    return Polynomial.from_monomials(
+        nvars,
+        ((weight_monomial(t, nvars), 1) for t in reference_enumerate_ssyt(tuple(shape), nvars)),
+    )
+
+
 def _tableaux(m: int) -> list[Filling]:
     return [t for shape in partitions(m) for t in enumerate_rssyt(shape, MAX_ENTRY)]
 
@@ -334,3 +449,26 @@ def test_kernels_match_reference_past_the_exhaustive_bound(t):
         ref_out = reference_phi(u, k, ref_steps)
         assert _phi(u, k, None) == ref_out
         assert phi_steps(u, k) == ref_steps
+
+
+@pytest.mark.parametrize("m", range(MAX_CELLS + 1))
+def test_enumerators_match_reference(m):
+    # Every shape of m cells (m = 0: the empty one), every largest entry up
+    # to 6; the streams and the cached tuples, in order.
+    for max_entry in range(1, MAX_ENTRY + 1):
+        for shape in compositions(m):
+            expected = reference_enumerate_ct(shape, max_entry)
+            assert tuple(_ct_fillings(shape, max_entry)) == expected, (shape, max_entry)
+            assert enumerate_ct(shape, max_entry) == expected, (shape, max_entry)
+        for shape in partitions(m):
+            expected = reference_enumerate_rssyt(shape, max_entry)
+            assert tuple(_rssyt_fillings(shape, max_entry)) == expected, (shape, max_entry)
+            assert enumerate_rssyt(shape, max_entry) == expected, (shape, max_entry)
+            assert enumerate_ssyt(shape, max_entry) == reference_enumerate_ssyt(shape, max_entry)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_schur_expand_matches_reference(m):
+    for shape in partitions(m):
+        for nvars in range(1, 7):
+            assert schur_expand(shape, nvars) == reference_schur_expand(shape, nvars), (shape, nvars)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -28,7 +29,7 @@ from ctrect import (
     weight_monomial,
     weight_of,
 )
-from ctrect.polynomials import _rearrangements, compositions
+from ctrect.polynomials import _ct_fillings, _rearrangements, _rssyt_fillings, compositions
 
 
 def _brute_force_shapes(m: int, partition: bool = False) -> list[tuple[int, ...]]:
@@ -159,6 +160,27 @@ class TestEnumeration:
             enumerate_ssyt((1, 2), 3)
         with pytest.raises(ValueError):
             enumerate_ct((0, 1), 3)
+
+    @pytest.mark.parametrize(
+        "enumerate_kind", [enumerate_ssyt, enumerate_rssyt, _rssyt_fillings, enumerate_ct, _ct_fillings]
+    )
+    def test_max_entry_below_one_raises_at_the_call(self, enumerate_kind):
+        # The streams are generators; their checks still run when they are
+        # called, before the first tableau is asked for.
+        with pytest.raises(ValueError, match="^max_entry must be >= 1$"):
+            enumerate_kind((2, 1), 0)
+
+    @pytest.mark.parametrize("enumerate_kind", [enumerate_ssyt, enumerate_rssyt, _rssyt_fillings])
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 0)])
+    def test_non_partition_shape_raises_at_the_call(self, enumerate_kind, shape):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(shape))} is not a partition shape$"):
+            enumerate_kind(shape, 3)
+
+    @pytest.mark.parametrize("enumerate_kind", [enumerate_ct, _ct_fillings])
+    @pytest.mark.parametrize("shape", [(0, 1), (2, 0)])
+    def test_composition_with_a_zero_part_raises_at_the_call(self, enumerate_kind, shape):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(shape))} is not a composition shape$"):
+            enumerate_kind(shape, 3)
 
 
 class TestExpansions:

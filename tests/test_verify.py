@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ctrect import run_property, tableaux, verify
+from ctrect import polynomials, run_property, tableaux, verify
 from ctrect.verify import PROPERTY_NAMES, Counterexample, VerifyReport, brief
 from ctrect import Filling, InvalidTableauError
 
@@ -67,6 +67,17 @@ def test_each_enumerated_tableau_is_validated_once(monkeypatch, name, calls):
     monkeypatch.setattr(tableaux, "violations", counting)
     run_property(name, 4, 4)
     assert len(seen) == calls
+
+
+def test_a_sweep_keeps_no_tableau():
+    # The sweeps stream their tableaux; the public enumerators' caches stay
+    # empty however many properties run.
+    caches = (polynomials.enumerate_ssyt, polynomials.enumerate_rssyt, polynomials.enumerate_ct)
+    for cache in caches:
+        cache.cache_clear()
+    for name in PROPERTY_NAMES:
+        run_property(name, 4, 4)
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
 
 
 @pytest.mark.parametrize(
