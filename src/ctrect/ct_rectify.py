@@ -10,12 +10,14 @@ tableau without a detour through reverse SSYT:
 3. reorder the rows so column 1 strictly increases;
 4. column by column: the entries directly right of the removed boxes are
    pulled one column left, largest first, each into the highest cell whose
-   left neighbor is filled with a value >= it and whose row stays weakly
-   decreasing, bumping strictly smaller entries; a bumped entry re-inserts
-   strictly below its old row, cascading as needed.  Each pulled entry's
-   source cell becomes a hole at once, and those holes are the removed
-   boxes of the next column.  Inserts fill only the current column, so
-   each round reads only the rows the previous round pulled from;
+   left neighbor is filled with a value >= it and which is a hole, lies
+   just past its row's end or holds a strictly smaller entry, bumping that
+   entry; a bumped entry re-inserts strictly below its old row, cascading
+   as needed.  Each pulled entry's source cell becomes a hole at once, and
+   those holes are the removed boxes of the next column.  A hole's right
+   neighbor is pulled in the same round, so it never turns an entry away.
+   Inserts fill only the current column, so each round reads only the rows
+   the previous round pulled from;
 5. stop when no entry sits right of a removed box; trailing holes drop.
 
 The result is again a composition tableau and agrees with mapping to the
@@ -126,9 +128,10 @@ def _admissible_row(
     grid: list[list[int | None]], e: int, col: int, start_row: int
 ) -> int | None:
     # Admissible: left neighbor filled with value >= e, and the slot is a
-    # hole (with the current right neighbor <= e, holes reading 0), is past
-    # the row end, or holds an entry strictly smaller than e (a bump; the
-    # right neighbor is then <= the bumped value < e automatically).
+    # hole, is past the row end, or holds an entry strictly smaller than e
+    # (a bump; the right neighbor is then <= the bumped value < e).  A
+    # hole's right neighbor is a source of the current round, so it is
+    # vacated before the round ends and does not constrain e.
     i = col - 1
     for r in range(start_row, len(grid)):
         row = grid[r]
@@ -140,11 +143,7 @@ def _admissible_row(
         if len(row) == i:
             return r
         cur = row[i]
-        if cur is None:
-            right = row[i + 1] if len(row) > i + 1 else None
-            if e >= (0 if right is None else right):
-                return r
-        elif cur < e:
+        if cur is None or cur < e:
             return r
     return None
 

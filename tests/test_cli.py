@@ -140,6 +140,13 @@ class TestRectify:
         assert "shift column 2: 7" in err
         assert "shift column 3: 3" in err
 
+    def test_ct_eleven_cells_matches_the_detour(self, capsys, tmp_path):
+        source = tmp_path / "u.txt"
+        source.write_text("3 1 1\n5 5 5 3\n6 4 3 2\n")
+        code, out, err = run(capsys, "rectify", "--kind", "ct", "--cells", "2", str(source))
+        assert (code, err) == (0, "")
+        assert out == "3 3 3\n4 1 1\n5 5 2\n"
+
     def test_kernel_invariant_failure_exits_1(self, capsys, monkeypatch):
         from ctrect.tableaux import InvariantViolationError
 

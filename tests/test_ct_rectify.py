@@ -47,6 +47,15 @@ class TestPhiFixtures:
         with pytest.raises(ValueError):
             phi(Filling([[1]]), 2)
 
+    def test_eleven_cell_case_matches_the_detour(self):
+        # In the column-3 round the bumped 1 lands in a hole whose right
+        # neighbour, 2, is pulled later in the same round; a test on that
+        # neighbour once turned the 1 away and left it no admissible cell.
+        u = validate("ct", Filling([[3, 1, 1], [5, 5, 5, 3], [6, 4, 3, 2]]))
+        expected = Filling([[3, 3, 3], [4, 1, 1], [5, 5, 2]])
+        assert rho_inv(rectify_k(rho(u), 2)[0]) == expected
+        assert phi(u, 2) == expected
+
     def test_steps_follow_the_printed_stages(self):
         labels = [label for label, _ in phi_steps(load("ct_phi3_input.txt"), 3)]
         assert labels == [

@@ -16,6 +16,11 @@ for the next candidates, sorts them with a key function and builds its
 snapshot labels on every call.  ``_rho`` must give the same reverse SSYT on
 every small composition tableau, and ``_phi`` the same tableau and the same
 ``phi_steps`` list, labels and snapshot fillings alike, on every (u, k).
+The first ``phi`` also tested a hole's right neighbour before placing an
+entry there, and so finds no admissible cell on some larger tableaux, the
+11-cell ``ELEVEN_CELLS`` among them; past the exhaustive bound ``_phi`` is
+held to the detour through reverse SSYT on every (u, k), and to the
+reference wherever the reference finishes.
 
 The enumerators keep their recursive form: ``_fillings`` places each cell
 in a nested call, collects every filling into a list through the validating
@@ -31,9 +36,9 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ctrect.bijection import _rho, rho_inv
+from ctrect.bijection import _rho, _rho_inv, rho_inv
 from ctrect.ct_rectify import _eviction, _phi, phi_steps
 from ctrect.jeu_de_taquin import (
     SlideStep,
@@ -439,15 +444,33 @@ def reverse_ssyt(draw, min_cells: int = 8, max_cells: int = 14) -> Filling:
     return Filling(grid)
 
 
+# The reference phi turns the bumped 1 away from the hole of row 2 at k = 2,
+# because that hole's right neighbour, 2, is not yet pulled.
+ELEVEN_CELLS = Filling([[3, 1, 1], [5, 5, 5, 3], [6, 4, 3, 2]])
+NO_ADMISSIBLE_CELL = "no admissible cell in column "
+
+
+def test_reference_phi_fails_on_the_eleven_cell_case():
+    with pytest.raises(InvariantViolationError, match="^no admissible cell in column 3 for entry 1$"):
+        reference_phi(ELEVEN_CELLS, 2, None)
+
+
 @settings(max_examples=100, deadline=None)
 @given(reverse_ssyt())
+@example(_rho(ELEVEN_CELLS))
 def test_kernels_match_reference_past_the_exhaustive_bound(t):
     u = rho_inv(t)
     assert _rho(u) == t
     for k in range(1, u.n_rows + 1):
+        out = _phi(u, k, None)
+        assert out == _rho_inv(_rectify_cells(t, k)[0])
         ref_steps: list[tuple[str, Filling]] = []
-        ref_out = reference_phi(u, k, ref_steps)
-        assert _phi(u, k, None) == ref_out
+        try:
+            ref_out = reference_phi(u, k, ref_steps)
+        except InvariantViolationError as exc:
+            assert str(exc).startswith(NO_ADMISSIBLE_CELL), exc
+            continue
+        assert out == ref_out
         assert phi_steps(u, k) == ref_steps
 
 
