@@ -158,14 +158,14 @@ def eviction(t: Filling, k: int) -> dict[int, list[int]]:
 
 
 def _eviction(t: Filling, k: int) -> dict[int, list[int]]:
-    # The kernel: t must be a valid reverse SSYT and 1 <= k <= t.n_rows.
-    # One walk down each column with one pointer into its survivors (see
-    # the module docstring); past the last survivor, s reads 0 and every
-    # remaining entry is shifting.
+    # The kernel: t must be a valid reverse SSYT and 1 <= k <= t.n_rows, so
+    # its first row is its longest.  One walk down each column with one
+    # pointer into its survivors (see the module docstring); past the last
+    # survivor, s reads 0 and every remaining entry is shifting.
     rows = t.rows
     survivors = [row[0] for row in rows[k:]]
     report: dict[int, list[int]] = {}
-    for c in range(1, t.width):  # 0-based column index
+    for c in range(1, len(rows[0])):  # 0-based column index
         pointer = iter(survivors)
         s = next(pointer, 0)
         matched: list[int] = []

@@ -7,6 +7,7 @@ instance with at most 7 cells and entries at most 7, all k.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 from ctrect import (
@@ -29,6 +30,16 @@ MAX_CELLS = 7
 MAX_ENTRY = 7
 FIXTURE_TIME_LIMIT = 0.001  # seconds, per criterion statement
 SWEEP_TIME_LIMIT = 300.0
+# sha256 of each sweep's VerifyReport.render(), as recorded in BENCH_12.json:
+# the report bytes, not only the verdict, stay fixed.
+RENDER_SHA256 = {
+    "roundtrip": "9e32b8e79f25ec4aed28bb51c492fc6a0264fa853062101168d6033d77fa6834",
+    "commutativity": "e0b8bd3fe0634a859c5be45d91eb75088f696c7977b96832521ecc85fc860c1f",
+    "lemma41": "9c55bd935484fe8a0ccb8afc9ca840d644b6a4b9773a2464a7612d96436a0d20",
+    "lemma42": "c189cfe439ff0f15aa610f5154f217e671ce652ed16270979772f8b5e0508aed",
+    "lemma43": "7f09b66f98340c679ada7845936f76a024f2c0b9fc150a55d02348ac75b1e389",
+    "dominance": "b1ae4d8c52ac4fd5f8ded04cf134ea31038d814e93fc5028719bb5ea6f4c3e0b",
+}
 
 
 def _report(n: int, description: str, ok: bool, detail: str = "") -> None:
@@ -36,6 +47,11 @@ def _report(n: int, description: str, ok: bool, detail: str = "") -> None:
     suffix = f" [{detail}]" if detail else ""
     print(f"ACCEPTANCE {n} {status}: {description}{suffix}")
     assert ok, f"criterion {n} failed: {description}{suffix}"
+
+
+def _assert_render_pinned(*reports) -> None:
+    got = {r.name: hashlib.sha256(r.render().encode()).hexdigest() for r in reports}
+    assert got == {name: RENDER_SHA256[name] for name in got}
 
 
 def _best_time(fn, repeats: int = 5):
@@ -126,6 +142,7 @@ def test_criterion_7_commutativity_sweep():
         f"{report.instances} instances, {len(report.counterexamples)} counterexamples, "
         f"{report.seconds:.1f}s",
     )
+    _assert_render_pinned(report)
 
 
 def test_criterion_8_lemma_suites():
@@ -144,6 +161,7 @@ def test_criterion_8_lemma_suites():
         all(r.ok for r in reports.values()),
         detail,
     )
+    _assert_render_pinned(*reports.values())
 
 
 def test_criterion_9_roundtrip_sweep():
@@ -154,6 +172,7 @@ def test_criterion_9_roundtrip_sweep():
         report.ok,
         f"{report.instances} instances, {len(report.counterexamples)} counterexamples",
     )
+    _assert_render_pinned(report)
 
 
 def test_criterion_10_dominance_sweep():
@@ -165,3 +184,4 @@ def test_criterion_10_dominance_sweep():
         report.ok,
         f"{report.instances} instances, {len(report.counterexamples)} counterexamples",
     )
+    _assert_render_pinned(report)

@@ -36,6 +36,66 @@ def test_dominance_reports_a_path_that_disagrees_with_the_trace(monkeypatch):
     assert report.counterexamples[0].actual.startswith("dominant path [(1, 2, 99)] disagrees with slide shifts ")
 
 
+def _plant_eviction(monkeypatch, mutate):
+    real = verify._eviction
+    monkeypatch.setattr(verify, "_eviction", lambda t, k: mutate(real(t, k)))
+
+
+def _reversed(report):
+    return {c: v[::-1] for c, v in report.items()}
+
+
+def _first_entry_dropped(report):
+    # from the leftmost column with shifting entries
+    if not report:
+        return report
+    c = min(report)
+    return {**report, c: report[c][1:]}
+
+
+def _extra_column(report):
+    return {**report, max(report, default=1) + 1: [1, 2]}
+
+
+@pytest.mark.parametrize("name", ["lemma42", "lemma43"])
+def test_eviction_compared_per_column_as_multisets(monkeypatch, name):
+    # Columns of two or more shifting entries occur at 4/4, and their
+    # reversal must not count as a disagreement.
+    _plant_eviction(monkeypatch, _reversed)
+    report = run_property(name, 4, 4)
+    assert report.instances == 312
+    assert report.counterexamples == []
+
+
+@pytest.mark.parametrize("name", ["lemma42", "lemma43"])
+@pytest.mark.parametrize(
+    "mutate, count, actual",
+    [
+        (_first_entry_dropped, 240, "{col 2: [1]}"),
+        (_extra_column, 312, "{col 2: [3, 1], col 3: [2, 1]}"),
+    ],
+)
+def test_eviction_disagreement_reported_with_sorted_columns(monkeypatch, name, mutate, count, actual):
+    _plant_eviction(monkeypatch, mutate)
+    report = run_property(name, 4, 4)
+    assert len(report.counterexamples) == count
+    assert report.render().splitlines()[3] == f"counterexamples: {count}"
+    pinned = [ce for ce in report.counterexamples if ce.instance == "k=2: 4 3 / 2 1"]
+    assert pinned == [Counterexample("k=2: 4 3 / 2 1", "{col 2: [3, 1]}", actual)]
+
+
+def test_lemma43_k_range_starting_above_one(monkeypatch):
+    # The bottom rows of u are gathered one per k, so a run from k = 2 must
+    # already hold two of them at its first k.
+    _plant_eviction(monkeypatch, _first_entry_dropped)
+    full = run_property("lemma43", 5, 5)
+    part = run_property("lemma43", 5, 5, k_range=(2, 3))
+    assert part.counterexamples
+    assert part.counterexamples == [
+        ce for ce in full.counterexamples if ce.instance.startswith(("k=2: ", "k=3: "))
+    ]
+
+
 @pytest.mark.parametrize(
     "name, calls",
     [
