@@ -105,47 +105,27 @@ def _phi(u: Filling, k: int, steps: list[tuple[str, Filling]] | None) -> Filling
 
 
 def _insert(grid: list[list[int | None]], e: int, col: int) -> None:
-    # col is the 1-based target column.  Bumped entries re-enter strictly
-    # below their old row.
-    row_from = 0
-    while True:
-        target = _admissible_row(grid, e, col, row_from)
-        if target is None:
-            raise InvariantViolationError(f"no admissible cell in column {col} for entry {e}")
-        row = grid[target]
-        i = col - 1
-        if len(row) == i:
-            row.append(e)
-            return
-        bumped = row[i]
-        row[i] = e
-        if bumped is None:
-            return
-        e, row_from = bumped, target + 1
-
-
-def _admissible_row(
-    grid: list[list[int | None]], e: int, col: int, start_row: int
-) -> int | None:
-    # Admissible: left neighbor filled with value >= e, and the slot is a
-    # hole, is past the row end, or holds an entry strictly smaller than e
-    # (a bump; the right neighbor is then <= the bumped value < e).  A
-    # hole's right neighbor is a source of the current round, so it is
-    # vacated before the round ends and does not constrain e.
+    # col is the 1-based target column.  A bump cannot break the row: its
+    # right neighbor is <= the bumped entry < e.  A hole's right neighbor is
+    # a source of the current round, vacated before the round ends, so it
+    # does not constrain e.
     i = col - 1
-    for r in range(start_row, len(grid)):
-        row = grid[r]
+    for row in grid:
         if len(row) < i:
             continue
         left = row[i - 1]
         if left is None or left < e:
             continue
         if len(row) == i:
-            return r
+            row.append(e)
+            return
         cur = row[i]
-        if cur is None or cur < e:
-            return r
-    return None
+        if cur is None:
+            row[i] = e
+            return
+        if cur < e:
+            row[i], e = e, cur
+    raise InvariantViolationError(f"no admissible cell in column {col} for entry {e}")
 
 
 def eviction(t: Filling, k: int) -> dict[int, list[int]]:

@@ -16,7 +16,9 @@ from ctrect import (
     validate,
     weight_of,
 )
+from ctrect.ct_rectify import _insert
 from ctrect.polynomials import compositions, enumerate_ct, enumerate_rssyt, partitions
+from ctrect.tableaux import InvariantViolationError
 
 from conftest import load
 
@@ -81,6 +83,24 @@ class TestPhiFixtures:
         assert steps["column 3 round"] == Filling(
             [[2, 1], [3, 3, 3, 1], [4, None, None], [5, 5, 4, 4], [6, 6, 2, None]]
         )
+
+
+class TestInsert:
+    """One pull of step 4, on a bare grid; col is 1-based."""
+
+    def test_bumps_cascade_down_to_an_append(self):
+        grid = [[5, 2], [4, 1], [3]]
+        _insert(grid, 3, 2)
+        assert grid == [[5, 3], [4, 2], [3, 1]]
+
+    def test_fills_a_hole(self):
+        grid = [[5, None, 1], [4, 2]]
+        _insert(grid, 3, 2)
+        assert grid == [[5, 3, 1], [4, 2]]
+
+    def test_no_admissible_cell_raises(self):
+        with pytest.raises(InvariantViolationError, match="^no admissible cell in column 2 for entry 5$"):
+            _insert([[2], [1]], 5, 2)
 
 
 class TestEviction:
