@@ -4,12 +4,13 @@ Subcommands: validate, rho, rho-inv, rectify, evacuate, eviction, expand,
 check-qsym, verify.  Tableaux are read from a file argument or stdin, in the
 canonical text format or the JSON format (auto-detected); ``--json`` writes
 tableau output as JSON.  Exit codes: 0 success, 1 counterexample or failed
-check, 2 invalid input, 64 usage error.
+check, 2 invalid input, 64 usage error, 141 stdout closed early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # Only the carrier is loaded up front: the parser, input reading and the
@@ -32,6 +33,7 @@ EX_OK = 0
 EX_COUNTEREXAMPLE = 1
 EX_INVALID_INPUT = 2
 EX_USAGE = 64
+EX_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -281,6 +283,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does.  Later writes
+        # and the flush at exit go to devnull, and the status is a shell's
+        # for a process killed by SIGPIPE, so a cut-off report is no success.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_BROKEN_PIPE
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_INVALID_INPUT

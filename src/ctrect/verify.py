@@ -370,6 +370,9 @@ def run_property(
         raise ValueError("bounds must be at least 1")
     if k_range is not None and not 1 <= k_range[0] <= k_range[1]:
         raise ValueError(f"bad k_range {k_range[0]}..{k_range[1]}: expected A..B with 1 <= A <= B")
+    if k_range is not None and PROPERTIES[name].subjects is not _each_tableau_and_k:
+        takes_k = ", ".join(n for n, p in PROPERTIES.items() if p.subjects is _each_tableau_and_k)
+        raise ValueError(f"property {name!r} takes no k range; only {takes_k} do")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     k_lo, k_hi = (1, None) if k_range is None else k_range

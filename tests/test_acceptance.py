@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
-Each test prints one ``ACCEPTANCE <n> PASS/FAIL`` line (run pytest with -s
-to see them on a green run).  The exhaustive suites (7-10) cover every valid
-instance with at most 7 cells and entries at most 7, all k.
+Each criterion test prints one ``ACCEPTANCE <n> PASS/FAIL`` line (run pytest
+with -s to see them on a green run).  The exhaustive suites (7-10) cover
+every valid instance with at most 7 cells and entries at most 7, all k; a
+``schur-identities`` sweep at the same bounds pins its report too.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ RENDER_SHA256 = {
     "lemma42": "c189cfe439ff0f15aa610f5154f217e671ce652ed16270979772f8b5e0508aed",
     "lemma43": "7f09b66f98340c679ada7845936f76a024f2c0b9fc150a55d02348ac75b1e389",
     "dominance": "b1ae4d8c52ac4fd5f8ded04cf134ea31038d814e93fc5028719bb5ea6f4c3e0b",
+    "schur-identities": "15c0f79b3a4cc263cf535884bed57db6c65dc858824d17c851ecc5e9fb0a19b9",
 }
 
 
@@ -184,4 +186,10 @@ def test_criterion_10_dominance_sweep():
         report.ok,
         f"{report.instances} instances, {len(report.counterexamples)} counterexamples",
     )
+    _assert_render_pinned(report)
+
+
+def test_schur_identities_sweep():
+    report = run_property("schur-identities", MAX_CELLS, MAX_ENTRY)
+    assert report.ok, report.render()
     _assert_render_pinned(report)

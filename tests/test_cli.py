@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import ctrect
 from ctrect.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = str(Path(ctrect.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -241,10 +246,21 @@ class TestExpand:
         assert len(lines) == 7
         assert "2: 1,1,1" in lines
 
+    def test_msym_21(self, capsys):
+        code, out, _ = run(capsys, "expand", "msym", "2,1", "--vars", "3")
+        assert code == 0
+        assert out == "1: 2,1,0\n1: 2,0,1\n1: 1,2,0\n1: 1,0,2\n1: 0,2,1\n1: 0,1,2\n"
+
     def test_bad_parts_exit_2(self, capsys):
         code, _, err = run(capsys, "expand", "schur", "2,x", "--vars", "3")
         assert code == 2
         assert "bad shape" in err
+
+    def test_zero_part_exits_2(self, capsys):
+        code, out, err = run(capsys, "expand", "schur", "2,0", "--vars", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad shape '2,0': parts must be positive\n"
 
     def test_non_partition_shape_exit_2(self, capsys):
         code, _, err = run(capsys, "expand", "schur", "1,2", "--vars", "3")
@@ -274,6 +290,21 @@ class TestCheckQsym:
         code, out, _ = run(capsys, "check-qsym", str(src))
         assert code == 1
         assert out == "quasisymmetric: false\nsymmetric: false\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1: x\n", "line 1: invalid literal for int() with base 10: 'x'"),
+            ("1: -1,0\n", "line 1: exponents must be nonnegative"),
+        ],
+    )
+    def test_bad_polynomial_exits_2(self, capsys, tmp_path, text, message):
+        src = tmp_path / "p.txt"
+        src.write_text(text)
+        code, out, err = run(capsys, "check-qsym", str(src))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_sixty_variables_finish_at_once(self, capsys, tmp_path):
         # One term of the composition (1,)*30: its comb(60, 30) placements
@@ -362,6 +393,19 @@ class TestVerify:
         assert out == ""
         assert f"bad --k-range {raw!r}" in err
 
+    def test_k_range_on_a_property_without_k_exits_64(self, capsys):
+        code, out, err = run(
+            capsys,
+            "verify", "--property", "dominance", "--max-cells", "3", "--max-entry", "3",
+            "--k-range", "2..3",
+        )
+        assert code == 64
+        assert out == ""
+        assert err == (
+            "error: property 'dominance' takes no k range;"
+            " only commutativity, lemma41, lemma42, lemma43 do\n"
+        )
+
     def test_commutativity_instance_count_pinned(self, capsys):
         # frozen on first run as a regression value
         code, out, _ = run(
@@ -432,6 +476,19 @@ class TestUsageErrors:
         assert code == 2
         assert "No such file" in err
 
+    def test_closed_stdout_exits_141_quietly(self):
+        # About 250 kB of output, more than a pipe buffers, so the writer
+        # is still writing when the reader goes.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "ctrect.cli", "expand", "msym", "1,1,1", "--vars", "30"]
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"1: 1,1,1,0,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        assert err == b""
+
 
 class TestUnreadableInput:
     """Input the parsers cannot read exits 2 with one ``error:`` line."""
@@ -463,3 +520,20 @@ class TestUnreadableInput:
         assert code == 2
         assert out == ""
         assert err == "error: bad JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"rows": [1', "bad JSON: Expecting ',' delimiter: line 1 column 12 (char 11)"),
+            ('{"a": 1}', 'JSON tableau must be an object with a "rows" list'),
+            ('{"rows": [1]}', "row 1: expected a list"),
+        ],
+    )
+    def test_malformed_json_tableau_exits_2(self, capsys, monkeypatch, text, message):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "rho")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"

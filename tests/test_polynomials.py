@@ -311,6 +311,9 @@ class TestPredicates:
         assert is_quasisymmetric(p) is True
         assert is_symmetric(p) is False
 
+    def test_same_support_unequal_coefficients_not_symmetric(self):
+        assert is_symmetric(Polynomial(2, {(1, 0): 1, (0, 1): 2})) is False
+
     def test_not_quasisymmetric(self):
         p = Polynomial(3, {(1, 2, 0): 1, (1, 0, 2): 1})
         assert is_quasisymmetric(p) is False

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 import pytest
 
@@ -254,7 +255,79 @@ def test_bad_k_range_message(k_range):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("name", ["roundtrip", "dominance", "schur-identities"])
+def test_k_range_rejected_where_no_k_is_taken(name):
+    message = f"property {name!r} takes no k range; only commutativity, lemma41, lemma42, lemma43 do"
+    with pytest.raises(ValueError) as exc:
+        run_property(name, 3, 3, k_range=(2, 3))
+    assert str(exc.value) == message
+    # a bad range is still reported as one
+    with pytest.raises(ValueError, match=r"^bad k_range 3\.\.2: "):
+        run_property(name, 3, 3, k_range=(3, 2))
+
+
 def test_brief_rendering():
     assert brief(Filling(())) == "(empty)"
     assert brief(Filling([[2, None], [1]])) == "2 . / 1"
     assert brief(Filling([[1], []])) == "1 / "
+
+
+def _rows_reversed(real):
+    return lambda *args: Filling(real(*args).rows[::-1])
+
+
+def _columns_reversed(real):
+    return lambda traces: _reversed(real(traces))
+
+
+def _first_only(real):
+    return lambda values: islice(real(values), 1)
+
+
+# Each row plants one fault in a name ``verify`` reads, and pins the
+# report's counterexample count and its first block.
+@pytest.mark.parametrize(
+    "name, attr, plant, bounds, count, block",
+    [
+        ("roundtrip", "_rho_inv", _rows_reversed, (3, 3), 12, ("1 / 2", "1 / 2", "2 / 1")),
+        ("commutativity", "_phi", _rows_reversed, (3, 3), 5, ("k=1: 1 / 2 / 3", "1 / 2", "2 / 1")),
+        (
+            "lemma41", "shifting_entries", _columns_reversed, (4, 4), 20,
+            ("k=2: 2 2 / 1 1", "strictly decreasing round-ordered shifts per column", "{col 2: [1, 2]}"),
+        ),
+        (
+            "dominance", "_is_dominant", lambda real: lambda t, r, c: False, (3, 3), 20,
+            ("1 1", "every left-shifted entry diagonally dominant at its source", "not dominant at [(1, 2)]"),
+        ),
+        (
+            "schur-identities", "monomial_sym_expand", lambda real: lambda parts, n: 2 * real(parts, n),
+            (2, 2), 2, ("s21 == m21 + 2*m111", "identity holds", "identity fails"),
+        ),
+        (
+            "schur-identities", "_rearrangements", _first_only, (3, 3), 2,
+            (
+                "shape (2, 1), 2 variables",
+                "composition-tableau and reverse-SSYT weight sums agree",
+                "sums differ",
+            ),
+        ),
+        (
+            "schur-identities", "is_symmetric", lambda real: lambda p: False, (2, 2), 3,
+            (
+                "schur (1,), 2 variables",
+                "symmetric and quasisymmetric",
+                "symmetric=False quasisymmetric=True",
+            ),
+        ),
+    ],
+)
+def test_each_checker_reports_a_planted_failure(monkeypatch, name, attr, plant, bounds, count, block):
+    monkeypatch.setattr(verify, attr, plant(getattr(verify, attr)))
+    lines = run_property(name, *bounds).render().splitlines()
+    instance, expected, actual = block
+    assert lines[3:7] == [
+        f"counterexamples: {count}",
+        f"  [1] instance: {instance}",
+        f"      expected: {expected}",
+        f"      actual:   {actual}",
+    ]
