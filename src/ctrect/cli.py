@@ -287,7 +287,9 @@ def main(argv: list[str] | None = None) -> int:
         # The reader closed stdout early, as `| head` does.  Later writes
         # and the flush at exit go to devnull, and the status is a shell's
         # for a process killed by SIGPIPE, so a cut-off report is no success.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EX_BROKEN_PIPE
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
