@@ -282,11 +282,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return status
     except BrokenPipeError:
-        # The reader closed stdout early, as `| head` does.  Later writes
-        # and the flush at exit go to devnull, and the status is a shell's
-        # for a process killed by SIGPIPE, so a cut-off report is no success.
+        # The reader closed stdout early, as `| head` does.  What is left to
+        # write goes to devnull, and the status is a shell's for a process
+        # killed by SIGPIPE, so a cut-off report is no success.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

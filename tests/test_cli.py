@@ -16,6 +16,16 @@ from ctrect.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = str(Path(ctrect.__file__).resolve().parent.parent)
+CLI = (sys.executable, "-m", "ctrect.cli")
+
+
+def cli_env() -> dict[str, str]:
+    """The environment for a CLI subprocess: this checkout's ``ctrect``, and
+    stdout block-buffered, as it is by default on a pipe."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def run(capsys, *argv):
@@ -479,15 +489,27 @@ class TestUsageErrors:
     def test_closed_stdout_exits_141_quietly(self):
         # About 250 kB of output, more than a pipe buffers, so the writer
         # is still writing when the reader goes.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        argv = [sys.executable, "-m", "ctrect.cli", "expand", "msym", "1,1,1", "--vars", "30"]
-        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        argv = [*CLI, "expand", "msym", "1,1,1", "--vars", "30"]
+        with subprocess.Popen(argv, env=cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             assert proc.stdout.readline().startswith(b"1: 1,1,1,0,")
             proc.stdout.close()
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 141
         assert err == b""
+
+    def test_stdout_closed_before_the_exit_flush_exits_141_quietly(self):
+        # One line stays in the block buffer until main flushes it; the
+        # reader is gone before the process starts.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [*CLI, "expand", "msym", "1,1,1", "--vars", "3"],
+                env=cli_env(), stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
 
 
 class TestUnreadableInput:
