@@ -93,6 +93,12 @@ class TestInsert:
         _insert(grid, 3, 2)
         assert grid == [[5, 3], [4, 2], [3, 1]]
 
+    def test_a_bumped_entry_lands_below_its_old_row(self):
+        # The bumped 4 would fit at the end of the first row, above it.
+        grid = [[1, 4], [2, 6, 4], [3, 5]]
+        _insert(grid, 5, 3)
+        assert grid == [[1, 4], [2, 6, 5], [3, 5, 4]]
+
     def test_fills_a_hole(self):
         grid = [[5, None, 1], [4, 2]]
         _insert(grid, 3, 2)
