@@ -437,6 +437,8 @@ def check_invariant(kind: TableauKind, f: Filling, what: str) -> Filling:
 def _validate_k(kind: TableauKind, f: Filling, k: int) -> Filling:
     # Input check shared by the k-cell operations: validate, then range-check k.
     f = validate(kind, f)
+    if not f.n_rows:
+        raise ValueError("k must be in 1..rows, but the tableau has no rows")
     if not 1 <= k <= f.n_rows:
         raise ValueError(f"k must be in 1..{f.n_rows}, got {k}")
     return f

@@ -36,7 +36,7 @@ import time
 from collections import Counter, namedtuple
 from typing import Iterator
 
-from .bijection import _rho, _rho_inv, rho, rho_inv
+from .bijection import _rho, _rho_inv
 from .ct_rectify import _eviction, _phi
 from .jeu_de_taquin import (
     _dominant_path,
@@ -128,16 +128,12 @@ def _format_report(report: dict[int, list[int]]) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def _ct_shape_units(max_cells: int) -> list[tuple]:
-    return [("ct", shape) for m in range(1, max_cells + 1) for shape in compositions(m)]
-
-
-def _rssyt_shape_units(max_cells: int) -> list[tuple]:
-    return [("rssyt", shape) for m in range(1, max_cells + 1) for shape in partitions(m)]
-
-
-def _both_shape_units(max_cells: int) -> list[tuple]:
-    return _ct_shape_units(max_cells) + _rssyt_shape_units(max_cells)
+def _tableau_units(*kinds: str):
+    # One work unit per kind, in the order given, and shape of 1 to max_cells cells.
+    shapes = {"ct": compositions, "rssyt": partitions}
+    return lambda max_cells: [
+        (kind, shape) for kind in kinds for m in range(1, max_cells + 1) for shape in shapes[kind](m)
+    ]
 
 
 def _schur_units(max_cells: int) -> list[tuple]:
@@ -156,7 +152,9 @@ def _k_bounds(rows: int, k_lo: int, k_hi: int | None) -> range:
 # instance per case.  Its ``check`` takes the unit's kind, a subject and its
 # cases, and yields (instance, expected, actual) for each failing case.
 # Counting, collecting and errors are left to the driver, ``_check_unit``.
-# The tableaux are streamed: none is kept past its check.
+# The tableaux are streamed: none is kept past its check.  The stream
+# validates each one, so the checkers call only the trusted kernels, and
+# every tableau a kernel produces is checked once, as its output.
 
 _ENUMERATE = {"ct": _ct_fillings, "rssyt": _rssyt_fillings}
 _ONCE = (None,)
@@ -165,7 +163,7 @@ _ONCE = (None,)
 def _each_tableau(unit: tuple, max_entry: int, _k_lo: int, _k_hi: int | None) -> Iterator:
     kind, shape = unit
     for x in _ENUMERATE[kind](shape, max_entry):
-        yield x, _ONCE
+        yield validate(kind, x), _ONCE
 
 
 def _each_tableau_and_k(unit: tuple, max_entry: int, k_lo: int, k_hi: int | None) -> Iterator:
@@ -173,23 +171,17 @@ def _each_tableau_and_k(unit: tuple, max_entry: int, k_lo: int, k_hi: int | None
     for x in _ENUMERATE[kind](shape, max_entry):
         ks = _k_bounds(x.n_rows, k_lo, k_hi)
         if ks:
-            yield x, ks
-
-
-# Every tableau checker validates each enumerated tableau once, through its
-# first public call or ``validate``, and then calls the trusted kernels for
-# every k; every tableau a kernel produces is still checked once, as its
-# output.
+            yield validate(kind, x), ks
 
 
 def _check_roundtrip(kind: str, x: Filling, _cases) -> Iterator[tuple[str, str, str]]:
-    back = _rho_inv(rho(x)) if kind == "ct" else _rho(rho_inv(x))
+    back = _rho_inv(_rho(x)) if kind == "ct" else _rho(_rho_inv(x))
     if back != x:
         yield brief(x), brief(x), brief(back)
 
 
 def _check_commutativity(_kind: str, u: Filling, ks: range) -> Iterator[tuple[str, str, str]]:
-    t = rho(u)
+    t = _rho(u)
     for k in ks:
         expected = _rho_inv(_rectify_cells(t, k)[0])
         actual = _phi(u, k, None)
@@ -198,7 +190,6 @@ def _check_commutativity(_kind: str, u: Filling, ks: range) -> Iterator[tuple[st
 
 
 def _check_lemma41(_kind: str, t: Filling, ks: range) -> Iterator[tuple[str, str, str]]:
-    validate("rssyt", t)
     for k in ks:
         report = shifting_entries(_rectify_cells(t, k)[1])
         bad = {
@@ -219,7 +210,6 @@ def _sorted_columns(report: dict[int, list[int]]) -> dict[int, list[int]]:
 
 
 def _check_lemma42(_kind: str, t: Filling, ks: range) -> Iterator[tuple[str, str, str]]:
-    validate("rssyt", t)
     for k in ks:
         _, traces = _rectify_cells(t, k)
         ev = _eviction(t, k)
@@ -233,7 +223,7 @@ def _check_lemma42(_kind: str, t: Filling, ks: range) -> Iterator[tuple[str, str
 def _check_lemma43(_kind: str, t: Filling, ks: range) -> Iterator[tuple[str, str, str]]:
     # The entries right of column 1 in the bottom k rows of u, by column,
     # one more row per k.
-    rows = rho_inv(t).rows
+    rows = _rho_inv(t).rows
     localized: dict[int, list[int]] = {}
     taken = 0
     for k in ks:
@@ -250,7 +240,6 @@ def _check_lemma43(_kind: str, t: Filling, ks: range) -> Iterator[tuple[str, str
 
 
 def _check_dominance(_kind: str, t: Filling, _cases) -> Iterator[tuple[str, str, str]]:
-    validate("rssyt", t)
     _, (trace,) = _rectify_cells(t, 1)
     shifts = trace.left_shifts()
     not_dominant = [(r, c) for r, c, _e in shifts if not _is_dominant(t, r, c)]
@@ -320,12 +309,12 @@ class _Property(_Record, namedtuple("_Property", "units subjects check")):
 
 
 PROPERTIES: dict[str, _Property] = {
-    "roundtrip": _Property(_both_shape_units, _each_tableau, _check_roundtrip),
-    "commutativity": _Property(_ct_shape_units, _each_tableau_and_k, _check_commutativity),
-    "lemma41": _Property(_rssyt_shape_units, _each_tableau_and_k, _check_lemma41),
-    "lemma42": _Property(_rssyt_shape_units, _each_tableau_and_k, _check_lemma42),
-    "lemma43": _Property(_rssyt_shape_units, _each_tableau_and_k, _check_lemma43),
-    "dominance": _Property(_rssyt_shape_units, _each_tableau, _check_dominance),
+    "roundtrip": _Property(_tableau_units("ct", "rssyt"), _each_tableau, _check_roundtrip),
+    "commutativity": _Property(_tableau_units("ct"), _each_tableau_and_k, _check_commutativity),
+    "lemma41": _Property(_tableau_units("rssyt"), _each_tableau_and_k, _check_lemma41),
+    "lemma42": _Property(_tableau_units("rssyt"), _each_tableau_and_k, _check_lemma42),
+    "lemma43": _Property(_tableau_units("rssyt"), _each_tableau_and_k, _check_lemma43),
+    "dominance": _Property(_tableau_units("rssyt"), _each_tableau, _check_dominance),
     "schur-identities": _Property(_schur_units, _schur_subjects, _check_schur),
 }
 
@@ -361,8 +350,8 @@ def run_property(
 ) -> VerifyReport:
     """Check one property over every instance within bounds.
 
-    ``jobs`` is an upper bound on worker processes: at most one per CPU and
-    one per work unit are started, and a single worker runs in-process.
+    ``jobs`` is an upper bound on worker processes: at most one per usable
+    CPU and one per work unit are started, and a single worker runs in-process.
     """
     if name not in PROPERTIES:
         raise ValueError(f"unknown property {name!r}; choose from {', '.join(PROPERTY_NAMES)}")
@@ -377,7 +366,8 @@ def run_property(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     k_lo, k_hi = (1, None) if k_range is None else k_range
     arglist = [(name, unit, max_entry, k_lo, k_hi) for unit in PROPERTIES[name].units(max_cells)]
-    workers = min(jobs, os.cpu_count() or 1, len(arglist))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, cpus, len(arglist))
     started = time.perf_counter()
     if workers > 1:
         # Imported here so that serial runs do not pay for loading the pool

@@ -64,6 +64,13 @@ def test_k_out_of_range(name, k):
         CALLS[name](VALID[INPUT_KIND[name]], k)
 
 
+@pytest.mark.parametrize("call", [rectify_k, rectify_k_steps, phi, phi_steps, ct_rectify.eviction])
+def test_k_on_an_empty_tableau_names_the_empty_tableau(call):
+    with pytest.raises(ValueError) as exc:
+        call(Filling(()), 1)
+    assert str(exc.value) == "k must be in 1..rows, but the tableau has no rows"
+
+
 @pytest.mark.parametrize(
     "call, kind, message",
     [

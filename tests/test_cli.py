@@ -219,6 +219,20 @@ class TestRectify:
         assert code == 64
         assert "k must be in" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["rectify", "--kind", "ct"], ["rectify", "--kind", "rssyt"], ["eviction"]],
+        ids=["rectify-ct", "rectify-rssyt", "eviction"],
+    )
+    def test_k_on_an_empty_tableau_exits_64_and_names_it(self, capsys, monkeypatch, argv):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code, out, err = run(capsys, *argv, "--cells", "1")
+        assert code == 64
+        assert out == ""
+        assert err == "error: k must be in 1..rows, but the tableau has no rows\n"
+
     @pytest.mark.parametrize("kind", ["rssyt", "ct"])
     def test_trace_with_json_exits_64_before_reading_input(self, capsys, kind):
         code, out, err = run(
@@ -276,6 +290,10 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "schur", "1,2", "--vars", "3")
         assert code == 2
         assert "not a partition shape" in err
+        code, out, err = run(capsys, "expand", "msym", "1,2", "--vars", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: (1, 2) is not a partition shape\n"
 
     @pytest.mark.parametrize("basis", ["schur", "msym", "mqsym"])
     @pytest.mark.parametrize("nvars", ["0", "-1"])

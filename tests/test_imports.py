@@ -140,6 +140,12 @@ print(json.dumps({"names": names, "wrong": wrong}))
     assert {"rho", "phi", "Filling", "run_property", "PROPERTY_NAMES"} <= set(out["names"])
 
 
+def test_dir_lists_the_public_names_before_they_are_loaded():
+    assert "rho" in dir(ctrect)
+    code = 'import json, ctrect\nprint(json.dumps(["rho" in dir(ctrect), "rho" in vars(ctrect)]))'
+    assert run_fresh(code) == [True, False]
+
+
 def test_star_and_submodule_imports():
     code = """
 import json

@@ -19,6 +19,7 @@ from ctrect import (
     shifting_entries,
     weight_of,
 )
+from ctrect.jeu_de_taquin import _vacate
 from ctrect.polynomials import enumerate_rssyt, partitions
 
 from conftest import load
@@ -179,6 +180,16 @@ class TestInvariants:
         forged = SlideTrace(1, (SlideStep((2, 1), (1, 1), 5, "up"),), (2, 1))
         with pytest.raises(InvariantViolationError, match="does not fit the grid"):
             replay(Filling([[1]]), forged)
+
+    def test_replay_rejects_a_vacated_cell_that_is_not_the_empty_cell(self):
+        t = Filling([[3, 2], [1]])
+        (trace,) = rectify_k(t, 1)[1]
+        with pytest.raises(InvariantViolationError, match=r"^vacated cell \(1, 1\) is not the empty cell$"):
+            replay(t, trace._replace(vacated_cell=(1, 1)))
+
+    def test_vacate_rejects_a_cell_that_is_not_a_corner(self):
+        with pytest.raises(InvariantViolationError, match=r"^slide ended at \(1,1\), not a corner$"):
+            _vacate([[1, 2]], 0, 0)
 
     def test_replay_rejects_more_traces_than_rows(self):
         empty = SlideTrace(1, (), (1, 1))

@@ -184,6 +184,12 @@ class TestEnumeration:
 
 
 class TestExpansions:
+    def test_monomial_expansions_reject_a_shape_of_the_wrong_kind(self):
+        with pytest.raises(ValueError, match=r"^\(1, 2\) is not a partition shape$"):
+            monomial_sym_expand((1, 2), 3)
+        with pytest.raises(ValueError, match=r"^\(1, 0\) is not a composition shape$"):
+            monomial_qsym_expand((1, 0), 2)
+
     def test_schur_21_in_three_vars(self):
         p = schur_expand((2, 1), 3)
         assert p.terms == {
@@ -416,6 +422,9 @@ class TestPolynomialType:
     def test_render_order_is_graded_lex(self):
         p = Polynomial(2, {(0, 1): 1, (2, 0): 1, (1, 0): 1})
         assert render_polynomial(p) == "1: 1,0\n1: 0,1\n1: 2,0"
+
+    def test_parse_skips_blank_lines(self):
+        assert parse_polynomial("1: 1,0\n\n1: 0,1\n") == Polynomial(2, {(1, 0): 1, (0, 1): 1})
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

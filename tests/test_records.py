@@ -99,6 +99,18 @@ def test_reprs():
     )
 
 
+def test_filling_fields_cannot_be_deleted():
+    f = Filling([[1]])
+    with pytest.raises(AttributeError, match="^cannot delete field 'rows'$"):
+        del f.rows
+    assert f.rows == ((1,),)
+
+
+def test_strs_are_the_text_renderings():
+    assert str(Filling([[3, 2], [1]])) == "3 2\n1"
+    assert str(Polynomial(2, {(0, 1): 1, (1, 0): 2})) == "2: 1,0\n1: 0,1"
+
+
 def test_constructors_normalise_and_validate():
     assert Filling() == Filling(()) == Filling(rows=[])
     assert Filling([[1, None]]).rows == ((1, None),)

@@ -141,13 +141,27 @@ def test_a_sweep_keeps_no_tableau():
     assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
 
 
+INVALID = {"ct": Filling([[2], [1]]), "rssyt": Filling([[1, 2]])}
+
+
 @pytest.mark.parametrize(
-    "check",
-    [verify._check_lemma41, verify._check_lemma42, verify._check_lemma43, verify._check_dominance],
+    "name, kind",
+    [
+        ("roundtrip", "ct"),
+        ("roundtrip", "rssyt"),
+        ("commutativity", "ct"),
+        ("lemma41", "rssyt"),
+        ("lemma42", "rssyt"),
+        ("lemma43", "rssyt"),
+        ("dominance", "rssyt"),
+    ],
 )
-def test_checkers_reject_an_invalid_reverse_ssyt(check):
+def test_the_streams_reject_an_invalid_tableau(monkeypatch, name, kind):
+    # The subject streams are the validation boundary: a stream that yields
+    # an invalid filling stops the run before any kernel sees it.
+    monkeypatch.setitem(verify._ENUMERATE, kind, lambda shape, max_entry: iter([INVALID[kind]]))
     with pytest.raises(InvalidTableauError):
-        list(check("rssyt", Filling([[1, 2]]), range(1, 2)))
+        run_property(name, 2, 2)
 
 
 def test_k_range_restriction():
@@ -189,13 +203,26 @@ def _serial_executor(asked: list[int]):
     [(1000, 8, 8), (3, 8, 3), (1000, 64, 11), (2, 1, None), (2, None, None), (1, 8, None)],
 )
 def test_jobs_are_clamped_to_cpus_and_units(monkeypatch, jobs, cpus, workers):
-    # lemma42 at 4/4 has 11 work units, one per partition of 1..4 cells;
-    # os.cpu_count() may return None.  One worker runs in-process.
+    # lemma42 at 4/4 has 11 work units, one per partition of 1..4 cells.
+    # Where os has no sched_getaffinity, the CPUs are os.cpu_count(), which
+    # may return None.  One worker runs in-process.
     asked: list[int] = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _serial_executor(asked))
+    monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     report = run_property("lemma42", 4, 4, jobs=jobs)
     assert asked == ([] if workers is None else [workers])
+    assert report.render() == run_property("lemma42", 4, 4).render()
+
+
+def test_jobs_are_clamped_to_the_cpus_this_process_may_use(monkeypatch):
+    # The host has 8 CPUs, but the process may run on only one of them.
+    asked: list[int] = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _serial_executor(asked))
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+    report = run_property("lemma42", 4, 4, jobs=8)
+    assert asked == []
     assert report.render() == run_property("lemma42", 4, 4).render()
 
 
