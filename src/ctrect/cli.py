@@ -208,9 +208,20 @@ def _cmd_verify(args) -> int:
     from .verify import run_property
 
     k_range = _parse_k_range(args.k_range) if args.k_range else None
-    report = run_property(
-        args.property, args.max_cells, args.max_entry, k_range=k_range, jobs=args.jobs
-    )
+    # --out is opened once before the sweep, so that an unwritable path fails
+    # at once, and for appending, so that a run stopped before the write
+    # leaves a file that was there as it was, and none that was not.
+    created = args.out and not os.path.exists(args.out)
+    if args.out:
+        open(args.out, "a", encoding="utf-8").close()
+    try:
+        report = run_property(
+            args.property, args.max_cells, args.max_entry, k_range=k_range, jobs=args.jobs
+        )
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     print(report.render())
     print(f"time: {report.seconds:.2f}s", file=sys.stderr)
     if args.out:

@@ -285,17 +285,21 @@ def _check_schur(kind: str, subject, _cases) -> Iterator[tuple[str, str, str]]:
         return
 
     shape, max_entry = subject
+    s = schur_expand(shape, max_entry)
+    weights = Counter(
+        weight_monomial(u, max_entry) for comp in _rearrangements(shape) for u in _ct_fillings(comp, max_entry)
+    )
+    # Each term of s is a reverse-SSYT weight, reversed.  A tableau has its
+    # entries <= n exactly when its weight is 0 past n, so the two sums in n
+    # variables agree when the difference is 0 at each such weight.
+    weights.subtract({w[::-1]: c for w, c in s.terms.items()})
     for n in range(1, max_entry + 1):
-        ct_weights = Counter(
-            weight_monomial(u, n) for comp in _rearrangements(shape) for u in _ct_fillings(comp, n)
-        )
-        if ct_weights != Counter(weight_monomial(t, n) for t in _rssyt_fillings(shape, n)):
+        if any(c and not any(w[n:]) for w, c in weights.items()):
             yield (
                 f"shape {shape}, {n} variables",
                 "composition-tableau and reverse-SSYT weight sums agree",
                 "sums differ",
             )
-    s = schur_expand(shape, max_entry)
     if not (is_symmetric(s) and is_quasisymmetric(s)):
         yield (
             f"schur {shape}, {max_entry} variables",
@@ -362,6 +366,13 @@ def run_property(
     if k_range is not None and PROPERTIES[name].subjects is not _each_tableau_and_k:
         takes_k = ", ".join(n for n, p in PROPERTIES.items() if p.subjects is _each_tableau_and_k)
         raise ValueError(f"property {name!r} takes no k range; only {takes_k} do")
+    # A tableau's first column is strictly monotone in 1..max_entry, so it
+    # has at most min(max_cells, max_entry) rows, and one column has that many.
+    if k_range is not None and k_range[0] > (rows := min(max_cells, max_entry)):
+        raise ValueError(
+            f"k range {k_range[0]}..{k_range[1]} takes no tableau within max-cells={max_cells}"
+            f" max-entry={max_entry}: none has more than {rows} rows"
+        )
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     k_lo, k_hi = (1, None) if k_range is None else k_range

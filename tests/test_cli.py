@@ -391,6 +391,7 @@ class TestVerify:
 
     def test_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
+        out_file.write_text("an earlier, longer report " * 1000)
         code, _, _ = run(
             capsys,
             "verify", "--property", "dominance", "--max-cells", "3", "--max-entry", "3",
@@ -400,6 +401,37 @@ class TestVerify:
         data = json.loads(out_file.read_text())
         assert data["property"] == "dominance"
         assert data["counterexamples"] == []
+
+    def test_unwritable_out_fails_before_the_sweep(self, capsys, monkeypatch, tmp_path):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("ctrect.verify.run_property", no_sweep)
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run(
+            capsys,
+            "verify", "--property", "roundtrip", "--max-cells", "2", "--max-entry", "2",
+            "--out", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+    def test_a_run_stopped_before_the_write_keeps_out_as_it_was(self, capsys, tmp_path):
+        kept = tmp_path / "kept.json"
+        kept.write_text("earlier report\n")
+        absent = tmp_path / "absent.json"
+        for path in (kept, absent):
+            code, out, err = run(
+                capsys,
+                "verify", "--property", "nope", "--max-cells", "2", "--max-entry", "2",
+                "--out", str(path),
+            )
+            assert code == 64
+            assert out == ""
+            assert "unknown property 'nope'" in err
+        assert kept.read_text() == "earlier report\n"
+        assert not absent.exists()
 
     def test_k_range_flag(self, capsys):
         code, out, _ = run(
@@ -432,6 +464,19 @@ class TestVerify:
         assert err == (
             "error: property 'dominance' takes no k range;"
             " only commutativity, lemma41, lemma42, lemma43 do\n"
+        )
+
+    def test_k_range_past_every_tableau_in_bounds_exits_64(self, capsys):
+        code, out, err = run(
+            capsys,
+            "verify", "--property", "commutativity", "--max-cells", "3", "--max-entry", "3",
+            "--k-range", "4..5",
+        )
+        assert code == 64
+        assert out == ""
+        assert err == (
+            "error: k range 4..5 takes no tableau within max-cells=3 max-entry=3:"
+            " none has more than 3 rows\n"
         )
 
     def test_commutativity_instance_count_pinned(self, capsys):

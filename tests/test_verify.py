@@ -141,6 +141,30 @@ def test_a_sweep_keeps_no_tableau():
     assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
 
 
+def test_schur_identities_enumerates_each_shape_once(monkeypatch):
+    # One composition-tableau stream per composition at max_entry, and one
+    # reverse-SSYT stream per partition (in schur_expand), plus the fixed
+    # s21 in 3 variables; not one of each per number of variables.
+    calls = {"ct": [], "rssyt": []}
+
+    def counting(kind, real):
+        def wrapped(shape, max_entry):
+            calls[kind].append((shape, max_entry))
+            return real(shape, max_entry)
+
+        return wrapped
+
+    monkeypatch.setattr(verify, "_ct_fillings", counting("ct", verify._ct_fillings))
+    monkeypatch.setattr(polynomials, "_rssyt_fillings", counting("rssyt", polynomials._rssyt_fillings))
+    assert run_property("schur-identities", 6, 6).ok
+    compositions = [c for m in range(1, 7) for c in polynomials.compositions(m)]
+    partitions = [p for m in range(1, 7) for p in polynomials.partitions(m)]
+    assert len(calls["ct"]) == 63
+    assert sorted(calls["ct"]) == sorted((c, 6) for c in compositions)
+    assert len(calls["rssyt"]) == 30
+    assert sorted(calls["rssyt"]) == sorted([(p, 6) for p in partitions] + [((2, 1), 3)])
+
+
 INVALID = {"ct": Filling([[2], [1]]), "rssyt": Filling([[1, 2]])}
 
 
@@ -291,6 +315,22 @@ def test_k_range_rejected_where_no_k_is_taken(name):
     # a bad range is still reported as one
     with pytest.raises(ValueError, match=r"^bad k_range 3\.\.2: "):
         run_property(name, 3, 3, k_range=(3, 2))
+
+
+@pytest.mark.parametrize("name", ["commutativity", "lemma41", "lemma42", "lemma43"])
+def test_k_range_past_every_tableau_in_bounds_rejected(name):
+    # A tableau in bounds has at most min(max_cells, max_entry) rows.
+    for bounds, k_range, rows in [((3, 3), (4, 5), 3), ((6, 2), (3, 4), 2), ((2, 6), (3, 3), 2)]:
+        lo, hi = k_range
+        message = f"k range {lo}..{hi} takes no tableau within max-cells={bounds[0]} max-entry={bounds[1]}"
+        with pytest.raises(ValueError) as exc:
+            run_property(name, *bounds, k_range=k_range)
+        assert str(exc.value) == f"{message}: none has more than {rows} rows"
+    # A range that reaches into the bounds still runs: the one-column
+    # tableau 3 / 2 / 1 (or its reverse) has k = 3.
+    report = run_property(name, 3, 3, k_range=(3, 9))
+    assert report.instances == 1
+    assert report.ok
 
 
 def test_brief_rendering():
