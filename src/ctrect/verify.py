@@ -128,50 +128,37 @@ def _format_report(report: dict[int, list[int]]) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def _tableau_units(*kinds: str):
-    # One work unit per kind, in the order given, and shape of 1 to max_cells cells.
-    shapes = {"ct": compositions, "rssyt": partitions}
-    return lambda max_cells: [
-        (kind, shape) for kind in kinds for m in range(1, max_cells + 1) for shape in shapes[kind](m)
-    ]
+# A property reads one work unit per shape of 1 to max_cells cells of each
+# of its ``kinds``, in order; ``fixed``, the identities in 3 variables, is
+# one unit.  ``_subjects`` lists what a unit checks: each subject with its
+# cases, one instance per case.  A tableau's cases are its k to rectify when
+# the property ``takes_k``, else ``_ONCE``; a ``schur`` shape's are its weight
+# sums in 1 to max_entry variables and the symmetry of its Schur polynomial.
+# A ``check`` takes the unit's kind, a subject and its cases, and yields
+# (instance, expected, actual) for each failing case; counting, collecting
+# and errors are left to the driver, ``_check_unit``.  The tableaux are
+# streamed: none is kept past its check.  The stream validates each one, so
+# the checkers call only the trusted kernels, and every tableau a kernel
+# produces is checked once, as its output.
 
-
-def _schur_units(max_cells: int) -> list[tuple]:
-    units: list[tuple] = [("fixed",)]
-    units.extend(("shape", shape) for m in range(1, max_cells + 1) for shape in partitions(m))
-    return units
-
-
-def _k_bounds(rows: int, k_lo: int, k_hi: int | None) -> range:
-    hi = rows if k_hi is None else min(k_hi, rows)
-    return range(max(k_lo, 1), hi + 1)
-
-
-# A property's ``subjects`` lists what one work unit checks: each subject
-# (an enumerated tableau, say) with its cases (the k to rectify), one
-# instance per case.  Its ``check`` takes the unit's kind, a subject and its
-# cases, and yields (instance, expected, actual) for each failing case.
-# Counting, collecting and errors are left to the driver, ``_check_unit``.
-# The tableaux are streamed: none is kept past its check.  The stream
-# validates each one, so the checkers call only the trusted kernels, and
-# every tableau a kernel produces is checked once, as its output.
-
+_SHAPES = {
+    "fixed": lambda m: [None] if m == 1 else [], "ct": compositions, "rssyt": partitions, "schur": partitions
+}
 _ENUMERATE = {"ct": _ct_fillings, "rssyt": _rssyt_fillings}
 _ONCE = (None,)
 
 
-def _each_tableau(unit: tuple, max_entry: int, _k_lo: int, _k_hi: int | None) -> Iterator:
+def _subjects(unit: tuple, max_entry: int, k_range: tuple[int, int] | None) -> Iterator:
     kind, shape = unit
-    for x in _ENUMERATE[kind](shape, max_entry):
-        yield validate(kind, x), _ONCE
-
-
-def _each_tableau_and_k(unit: tuple, max_entry: int, k_lo: int, k_hi: int | None) -> Iterator:
-    kind, shape = unit
-    for x in _ENUMERATE[kind](shape, max_entry):
-        ks = _k_bounds(x.n_rows, k_lo, k_hi)
-        if ks:
-            yield validate(kind, x), ks
+    if kind == "fixed":
+        yield None, range(4)
+    elif kind == "schur":
+        yield (shape, max_entry), range(max_entry + 1)
+    else:
+        for x in _ENUMERATE[kind](shape, max_entry):
+            cases = _ONCE if k_range is None else range(k_range[0], min(k_range[1], x.n_rows) + 1)
+            if cases:
+                yield validate(kind, x), cases
 
 
 def _check_roundtrip(kind: str, x: Filling, _cases) -> Iterator[tuple[str, str, str]]:
@@ -257,14 +244,6 @@ def _check_dominance(_kind: str, t: Filling, _cases) -> Iterator[tuple[str, str,
         )
 
 
-def _schur_subjects(unit: tuple, max_entry: int, _k_lo: int, _k_hi: int | None) -> list[tuple]:
-    # The four fixed identities; or, for a shape, its weight sums in 1 to
-    # max_entry variables and the symmetry of its Schur polynomial.
-    if unit[0] == "fixed":
-        return [(None, range(4))]
-    return [((unit[1], max_entry), range(max_entry + 1))]
-
-
 def _check_schur(kind: str, subject, _cases) -> Iterator[tuple[str, str, str]]:
     if kind == "fixed":
         s21 = schur_expand((2, 1), 3)
@@ -308,36 +287,35 @@ def _check_schur(kind: str, subject, _cases) -> Iterator[tuple[str, str, str]]:
         )
 
 
-class _Property(_Record, namedtuple("_Property", "units subjects check")):
+class _Property(_Record, namedtuple("_Property", "kinds takes_k check")):
     __slots__ = ()
 
 
 PROPERTIES: dict[str, _Property] = {
-    "roundtrip": _Property(_tableau_units("ct", "rssyt"), _each_tableau, _check_roundtrip),
-    "commutativity": _Property(_tableau_units("ct"), _each_tableau_and_k, _check_commutativity),
-    "lemma41": _Property(_tableau_units("rssyt"), _each_tableau_and_k, _check_lemma41),
-    "lemma42": _Property(_tableau_units("rssyt"), _each_tableau_and_k, _check_lemma42),
-    "lemma43": _Property(_tableau_units("rssyt"), _each_tableau_and_k, _check_lemma43),
-    "dominance": _Property(_tableau_units("rssyt"), _each_tableau, _check_dominance),
-    "schur-identities": _Property(_schur_units, _schur_subjects, _check_schur),
+    "roundtrip": _Property(("ct", "rssyt"), False, _check_roundtrip),
+    "commutativity": _Property(("ct",), True, _check_commutativity),
+    "lemma41": _Property(("rssyt",), True, _check_lemma41),
+    "lemma42": _Property(("rssyt",), True, _check_lemma42),
+    "lemma43": _Property(("rssyt",), True, _check_lemma43),
+    "dominance": _Property(("rssyt",), False, _check_dominance),
+    "schur-identities": _Property(("fixed", "schur"), False, _check_schur),
 }
 
 PROPERTY_NAMES = tuple(PROPERTIES)
 
 
 def _check_unit(args: tuple) -> tuple[int, list[Counterexample]]:
-    # The driver: one property over one work unit.  An
+    # The driver: one property's check over one work unit.  An
     # InvariantViolationError while checking a subject becomes that
     # subject's counterexample, its cases still count as instances, and the
     # sweep goes on.
-    name, unit, max_entry, k_lo, k_hi = args
-    prop = PROPERTIES[name]
+    check, unit, max_entry, k_range = args
     count = 0
     ces: list[Counterexample] = []
-    for subject, cases in prop.subjects(unit, max_entry, k_lo, k_hi):
+    for subject, cases in _subjects(unit, max_entry, k_range):
         count += len(cases)
         try:
-            for failure in prop.check(unit[0], subject, cases):
+            for failure in check(unit[0], subject, cases):
                 ces.append(Counterexample(*failure))
         except InvariantViolationError as exc:
             label = brief(subject) if isinstance(subject, Filling) else str(subject)
@@ -363,8 +341,9 @@ def run_property(
         raise ValueError("bounds must be at least 1")
     if k_range is not None and not 1 <= k_range[0] <= k_range[1]:
         raise ValueError(f"bad k_range {k_range[0]}..{k_range[1]}: expected A..B with 1 <= A <= B")
-    if k_range is not None and PROPERTIES[name].subjects is not _each_tableau_and_k:
-        takes_k = ", ".join(n for n, p in PROPERTIES.items() if p.subjects is _each_tableau_and_k)
+    prop = PROPERTIES[name]
+    if k_range is not None and not prop.takes_k:
+        takes_k = ", ".join(n for n, p in PROPERTIES.items() if p.takes_k)
         raise ValueError(f"property {name!r} takes no k range; only {takes_k} do")
     # A tableau's first column is strictly monotone in 1..max_entry, so it
     # has at most min(max_cells, max_entry) rows, and one column has that many.
@@ -375,8 +354,9 @@ def run_property(
         )
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    k_lo, k_hi = (1, None) if k_range is None else k_range
-    arglist = [(name, unit, max_entry, k_lo, k_hi) for unit in PROPERTIES[name].units(max_cells)]
+    ks = (k_range or (1, max_cells)) if prop.takes_k else None
+    units = [(kind, s) for kind in prop.kinds for m in range(1, max_cells + 1) for s in _SHAPES[kind](m)]
+    arglist = [(prop.check, unit, max_entry, ks) for unit in units]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(jobs, cpus, len(arglist))
     started = time.perf_counter()

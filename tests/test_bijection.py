@@ -11,7 +11,7 @@ from ctrect import (
     rho_inv,
     weight_of,
 )
-from ctrect.bijection import _rho
+from ctrect.bijection import _rho, _rho_inv
 from ctrect.polynomials import compositions, enumerate_ct, enumerate_rssyt, partitions
 
 
@@ -65,6 +65,14 @@ def test_rho_inv_rejects_invalid_input():
 
     with pytest.raises(InvalidTableauError):
         rho_inv(Filling([[1, 2]]))  # row increases in an rssyt
+
+
+def test_rho_inv_kernel_reports_an_entry_with_no_admissible_row():
+    # _rho_inv trusts its input: in a row that increases, entry 2 finds no
+    # row of length 1 whose last entry is at least 2.
+    with pytest.raises(InvariantViolationError) as exc:
+        _rho_inv(Filling._trusted([[1, 2]]))
+    assert str(exc.value) == "no admissible row for entry 2 from column 2"
 
 
 def test_weight_and_column_multisets_preserved(ct_u):

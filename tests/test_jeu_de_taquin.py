@@ -19,6 +19,7 @@ from ctrect import (
     shifting_entries,
     weight_of,
 )
+from ctrect import jeu_de_taquin
 from ctrect.jeu_de_taquin import _vacate
 from ctrect.polynomials import enumerate_rssyt, partitions
 
@@ -218,6 +219,20 @@ class TestEvacuate:
     def test_entry_above_cell_count_rejected(self):
         with pytest.raises(ValueError, match="exceeds the cell count"):
             evacuate(Filling([[4]]))
+
+    def test_a_cell_no_round_vacates_is_reported(self, monkeypatch):
+        # Every round must vacate a different cell: slides that all reported
+        # (1, 1) would leave the rest of the shape unfilled.
+        real = jeu_de_taquin._rectify_cells
+
+        def same_cell(t, k):
+            out, traces = real(t, k)
+            return out, tuple(trace._replace(vacated_cell=(1, 1)) for trace in traces)
+
+        monkeypatch.setattr(jeu_de_taquin, "_rectify_cells", same_cell)
+        with pytest.raises(InvariantViolationError) as exc:
+            evacuate(Filling([[2], [1]]))
+        assert str(exc.value) == "evacuation left an unfilled cell"
 
     def test_fixture_output_is_valid_rssyt(self):
         from ctrect import violations

@@ -36,7 +36,7 @@ CASES = {
         ("roundtrip", 2, 2, None, 12, [], 0.5),
         ("roundtrip", 2, 2, None, 12, [], 0.25),
     ),
-    _Property: (("units", "subjects", "check"), (len, sorted, repr), (len, sorted, str)),
+    _Property: (("kinds", "takes_k", "check"), (("ct",), True, repr), (("ct",), True, str)),
 }
 HASHABLE = {Filling, Violation, SlideStep, SlideTrace, Counterexample, _Property}
 CLASSES = list(CASES)

@@ -195,9 +195,11 @@ def test_k_range_restriction():
     assert only_k1.ok
 
 
-def test_jobs_do_not_change_the_report():
-    serial = run_property("lemma42", 4, 4, jobs=1)
-    parallel = run_property("lemma42", 4, 4, jobs=2)
+@pytest.mark.parametrize("name", PROPERTY_NAMES)
+def test_jobs_do_not_change_the_report(name):
+    # Each property's work units and their arguments go through the pool.
+    serial = run_property(name, 4, 4, jobs=1)
+    parallel = run_property(name, 4, 4, jobs=2)
     assert serial.render() == parallel.render()
     assert serial.instances == parallel.instances
 
