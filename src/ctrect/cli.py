@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from importlib import import_module
 
 # Only the carrier is loaded up front: the parser, input reading and the
 # error mapping in ``main`` need it.  Each handler imports the module it
@@ -69,7 +70,7 @@ def _parse_parts(raw: str) -> tuple[int, ...]:
         parts = tuple(int(tok) for tok in raw.split(","))
     except ValueError:
         raise ParseError(f"bad shape {raw!r}: expected comma-separated integers")
-    if not parts or any(p < 1 for p in parts):
+    if any(p < 1 for p in parts):
         raise ParseError(f"bad shape {raw!r}: parts must be positive")
     return parts
 
@@ -98,25 +99,26 @@ def _cmd_validate(args) -> int:
     return EX_OK
 
 
-def _cmd_rho(args) -> int:
-    from .bijection import rho
+# The function each tableau-to-tableau command applies, as module.name; it is
+# looked up on its module at call time, so a call loads only that module.
+_MAPS = {
+    "rho": "bijection.rho",
+    "rho-inv": "bijection.rho_inv",
+    "evacuate": "jeu_de_taquin.evacuate",
+}
 
-    _emit_tableau(rho(_read_tableau(args.file)), args.json)
+
+def _cmd_map(args) -> int:
+    module, _, name = _MAPS[args.command].partition(".")
+    op = getattr(import_module(f".{module}", __package__), name)
+    try:
+        out = op(_read_tableau(args.file))
+    except InvalidTableauError:
+        raise
+    except ValueError as exc:  # e.g. an entry above evacuate's cell count: bad input, not usage
+        raise ParseError(str(exc)) from exc
+    _emit_tableau(out, args.json)
     return EX_OK
-
-
-def _cmd_rho_inv(args) -> int:
-    from .bijection import rho_inv
-
-    _emit_tableau(rho_inv(_read_tableau(args.file)), args.json)
-    return EX_OK
-
-
-def _print_block(label: str, f: Filling) -> None:
-    print(f"== {label}")
-    text = render_filling(f)
-    if text:
-        print(text)
 
 
 def _cmd_rectify(args) -> int:
@@ -124,38 +126,23 @@ def _cmd_rectify(args) -> int:
         raise ValueError("--json does not apply to --trace output")
     f = _read_tableau(args.file)
     if args.kind == "rssyt":
-        from .jeu_de_taquin import rectify_k, rectify_k_steps, shifting_entries
-
-        if args.trace:
-            for label, state in rectify_k_steps(f, args.cells):
-                _print_block(label, state)
-        else:
-            result, traces = rectify_k(f, args.cells)
-            _emit_tableau(result, args.json)
-            report = shifting_entries(traces)
-            for c in sorted(report):
-                print(f"shift column {c}: {' '.join(str(e) for e in report[c])}", file=sys.stderr)
+        from .jeu_de_taquin import rectify_k as rectify, rectify_k_steps as steps, shifting_entries
     else:
-        from .ct_rectify import phi, phi_steps
-
-        if args.trace:
-            for label, state in phi_steps(f, args.cells):
-                _print_block(label, state)
-        else:
-            _emit_tableau(phi(f, args.cells), args.json)
-    return EX_OK
-
-
-def _cmd_evacuate(args) -> int:
-    from .jeu_de_taquin import evacuate
-
-    try:
-        out = evacuate(_read_tableau(args.file))
-    except InvalidTableauError:
-        raise
-    except ValueError as exc:  # an entry above the cell count: bad input, not usage
-        raise ParseError(str(exc)) from exc
-    _emit_tableau(out, args.json)
+        from .ct_rectify import phi as rectify, phi_steps as steps
+    if args.trace:
+        for label, state in steps(f, args.cells):
+            print(f"== {label}")
+            text = render_filling(state)
+            if text:
+                print(text)
+    elif args.kind == "ct":
+        _emit_tableau(rectify(f, args.cells), args.json)
+    else:
+        result, traces = rectify(f, args.cells)
+        _emit_tableau(result, args.json)
+        report = shifting_entries(traces)
+        for c in sorted(report):
+            print(f"shift column {c}: {' '.join(str(e) for e in report[c])}", file=sys.stderr)
     return EX_OK
 
 
@@ -179,13 +166,9 @@ def _cmd_expand(args) -> int:
     parts = _parse_parts(args.parts)
     if args.vars < 1:
         raise ValueError(f"--vars must be at least 1, got {args.vars}")
+    expand = {"schur": schur_expand, "msym": monomial_sym_expand, "mqsym": monomial_qsym_expand}
     try:
-        if args.basis == "schur":
-            poly = schur_expand(parts, args.vars)
-        elif args.basis == "msym":
-            poly = monomial_sym_expand(parts, args.vars)
-        else:
-            poly = monomial_qsym_expand(parts, args.vars)
+        poly = expand[args.basis](parts, args.vars)
     except ValueError as exc:  # e.g. a non-partition shape for schur/msym
         raise ParseError(str(exc)) from exc
     text = render_polynomial(poly)
@@ -251,14 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default="-")
     p.set_defaults(func=_cmd_validate)
 
-    tableau_command("rho", _cmd_rho, "composition tableau -> reverse SSYT")
-    tableau_command("rho-inv", _cmd_rho_inv, "reverse SSYT -> composition tableau")
+    tableau_command("rho", _cmd_map, "composition tableau -> reverse SSYT")
+    tableau_command("rho-inv", _cmd_map, "reverse SSYT -> composition tableau")
 
     p = tableau_command("rectify", _cmd_rectify, "rectify k first-column cells", cells=True)
     p.add_argument("--kind", choices=("rssyt", "ct"), required=True)
     p.add_argument("--trace", action="store_true", help="print every intermediate diagram")
 
-    tableau_command("evacuate", _cmd_evacuate, "evacuation of a reverse SSYT")
+    tableau_command("evacuate", _cmd_map, "evacuation of a reverse SSYT")
 
     p = sub.add_parser("eviction", help="shifting entries via the eviction ordering")
     p.add_argument("file", nargs="?", default="-")

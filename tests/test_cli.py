@@ -622,3 +622,41 @@ class TestUnreadableInput:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+HELP_COMMANDS = (
+    "validate", "rho", "rho-inv", "rectify", "evacuate", "eviction", "expand", "check-qsym", "verify"
+)
+
+
+def help_golden() -> dict[str, str]:
+    """The texts of ``fixtures/cli_help.txt``, keyed by the ``$ ctrect ... -h``
+    line above each."""
+    blocks: dict[str, str] = {}
+    for line in (FIXTURES / "cli_help.txt").read_text(encoding="utf-8").splitlines(keepends=True):
+        if line.startswith("$ "):
+            key = line[2:].rstrip("\n")
+            blocks[key] = ""
+        else:
+            blocks[key] += line
+    return blocks
+
+
+class TestHelp:
+    """Every ``-h`` text at 80 columns, byte for byte."""
+
+    def test_golden_holds_the_top_level_and_every_command(self):
+        assert list(help_golden()) == ["ctrect -h"] + [f"ctrect {c} -h" for c in HELP_COMMANDS]
+
+    @pytest.mark.parametrize("argv", [[]] + [[c] for c in HELP_COMMANDS], ids=["top", *HELP_COMMANDS])
+    def test_help_matches_the_golden(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "-h"])
+        assert exit_info.value.code == 0
+        expected = help_golden()[" ".join(["ctrect", *argv, "-h"])]
+        if not argv and sys.version_info >= (3, 13):
+            # Python 3.13's argparse keeps the subcommand list and its "..."
+            # on one usage line.
+            expected = expected.replace("}\n              ...\n", "} ...\n", 1)
+        assert capsys.readouterr().out == expected

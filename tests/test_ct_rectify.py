@@ -49,6 +49,15 @@ class TestPhiFixtures:
         with pytest.raises(ValueError):
             phi(Filling([[1]]), 2)
 
+    def test_an_internal_hole_is_a_hole_violation(self, monkeypatch):
+        # A broken insert that leaves a hole inside a row: phi's postcondition
+        # reports it as a ``hole`` violation.
+        monkeypatch.setattr("ctrect.ct_rectify._insert", lambda grid, e, col: grid[0].append(e))
+        message = "^phi did not produce a composition tableau: "
+        with pytest.raises(InvariantViolationError, match=message) as info:
+            phi(load("ct_phi3_input.txt"), 3)
+        assert "hole" in [v.rule for v in info.value.violations]
+
     def test_eleven_cell_case_matches_the_detour(self):
         # In the column-3 round the bumped 1 lands in a hole whose right
         # neighbour, 2, is pulled later in the same round; a test on that

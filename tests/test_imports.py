@@ -61,6 +61,25 @@ def test_ct_rectify_commands_load_no_slides(argv):
     assert run_fresh(code) is False
 
 
+# rho, rho-inv and evacuate share one handler, which loads only the module of
+# the function its command applies.
+@pytest.mark.parametrize(
+    "command, fixture, unused",
+    [
+        ("rho", "ct_u.txt", ["ctrect.jeu_de_taquin", "ctrect.ct_rectify"]),
+        ("rho-inv", "rssyt_t.txt", ["ctrect.jeu_de_taquin", "ctrect.ct_rectify"]),
+        ("evacuate", "rssyt_evac_input.txt", ["ctrect.bijection", "ctrect.ct_rectify"]),
+    ],
+)
+def test_shared_handler_loads_only_its_commands_module(command, fixture, unused):
+    argv = [command, str(FIXTURES / fixture)]
+    code = (
+        f"import json, sys\nfrom ctrect.cli import main\nassert main({argv!r}) == 0\n"
+        f"print(json.dumps([m for m in {unused!r} if m in sys.modules]))"
+    )
+    assert run_fresh(code) == []
+
+
 # Each record is a namedtuple subclass and JSON is read or written only on
 # request, so a text call loads neither ``dataclasses`` (with the ``inspect``
 # it pulls in) nor ``json``.
