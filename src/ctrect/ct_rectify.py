@@ -49,21 +49,19 @@ def phi(u: Filling, k: int) -> Filling:
 
 def phi_steps(u: Filling, k: int) -> list[tuple[str, Filling]]:
     """Labelled snapshots of a phi run, ending with the final tableau."""
-    steps: list[tuple[str, Filling]] = []
-    _phi(_validate_k("ct", u, k), k, steps)
-    return steps
+    u = _validate_k("ct", u, k)
+    removed = [row if r < u.n_rows - k else (None, *row[1:]) for r, row in enumerate(u.rows)]
+    steps = [(f"remove {k} cell(s) from column 1", Filling(removed))]
+    out = _phi(u, k, steps)
+    return steps + [("result", out)]
 
 
 def _phi(u: Filling, k: int, steps: list[tuple[str, Filling]] | None) -> Filling:
     # The kernel: u must be a valid composition tableau and 1 <= k <= u.n_rows.
-    # Snapshots are taken only when a ``steps`` list is given.
+    # The snapshots that need its grid are taken only when a ``steps`` list
+    # is given; ``phi_steps`` takes the first and the last.
     n = u.n_rows
     grid: list[list[int | None]] = [list(row) for row in u.rows]
-
-    if steps is not None:  # the swap overwrites every removed cell that stays
-        for row in grid[n - k:]:
-            row[0] = None
-        steps.append((f"remove {k} cell(s) from column 1", Filling(grid)))
 
     kept = grid[: n - k]
     for row in grid[n - k:]:
@@ -96,10 +94,7 @@ def _phi(u: Filling, k: int, steps: list[tuple[str, Filling]] | None) -> Filling
     for row in grid:
         while row and row[-1] is None:
             row.pop()
-    out = check_invariant("ct", Filling._trusted(grid), "phi did not produce a composition tableau")
-    if steps is not None:
-        steps.append(("result", out))
-    return out
+    return check_invariant("ct", Filling._trusted(grid), "phi did not produce a composition tableau")
 
 
 def _insert(grid: list[list[int | None]], e: int, col: int) -> None:

@@ -204,7 +204,8 @@ def replay(t: Filling, *traces: SlideTrace) -> list[tuple[str, Filling]]:
 
     Snapshots show the migrating empty cells as holes; the last snapshot is
     the rectified tableau.  Raises when a trace does not fit the tableau,
-    so tests can use it to check trace coherence.
+    including a step whose direction disagrees with its cells, so tests can
+    use it to check trace coherence.
     """
     grid: list[list[int | None]] = [list(row) for row in t.rows]
     for i, trace in enumerate(traces):
@@ -215,14 +216,10 @@ def replay(t: Filling, *traces: SlideTrace) -> list[tuple[str, Filling]]:
     for i in range(len(traces) - 1, -1, -1):
         hr, hc = i + 1, 1  # the migrating empty cell
         for step in traces[i].steps:
-            fr, fc = step.from_cell
-            if (
-                step.to_cell != (hr, hc)
-                or step.from_cell not in ((hr + 1, hc), (hr, hc + 1))
-                or fr > len(grid)
-                or fc > len(grid[fr - 1])
-                or grid[fr - 1][fc - 1] != step.entry
-            ):
+            direction = "up" if step.direction == "up" else "left"
+            fr, fc = (hr + 1, hc) if direction == "up" else (hr, hc + 1)
+            held = grid[fr - 1][fc - 1] if fr <= len(grid) and fc <= len(grid[fr - 1]) else None
+            if step != SlideStep((fr, fc), (hr, hc), held, direction):
                 raise InvariantViolationError(f"trace step {step} does not fit the grid")
             grid[hr - 1][hc - 1] = step.entry
             grid[fr - 1][fc - 1] = None
@@ -245,16 +242,14 @@ def evacuate(t: Filling) -> Filling:
     """
     t = validate("rssyt", t)
     n = t.cell_count
-    top = max((v for _, _, v in t.cells()), default=0)
+    top = t.entry(1, 1)  # the largest entry; 0 when t is empty
     if top > n:
         raise ValueError(f"entry {top} exceeds the cell count {n}; n - entry would be negative")
     out: list[list[int | None]] = [[None] * len(row) for row in t.rows]
-    cur = t
-    while cur.n_rows:
-        e = cur.entry(1, 1)
-        cur, (trace,) = _rectify_cells(cur, 1)
+    while t.n_rows:
+        t, (trace,) = _rectify_cells(t, 1)
         r, c = trace.vacated_cell
-        out[r - 1][c - 1] = n - e
+        out[r - 1][c - 1] = n - trace.removed_entry
     if any(v is None for row in out for v in row):
         raise InvariantViolationError("evacuation left an unfilled cell")
     return Filling(out)

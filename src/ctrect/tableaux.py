@@ -435,8 +435,10 @@ def check_invariant(kind: TableauKind, f: Filling, what: str) -> Filling:
 
 
 def _validate_k(kind: TableauKind, f: Filling, k: int) -> Filling:
-    # Input check shared by the k-cell operations: validate, then range-check k.
+    # Input check shared by the k-cell operations: validate, then check k.
     f = validate(kind, f)
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"k must be an int, got {k!r}")
     if not f.n_rows:
         raise ValueError("k must be in 1..rows, but the tableau has no rows")
     if not 1 <= k <= f.n_rows:

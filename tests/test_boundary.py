@@ -71,6 +71,16 @@ def test_k_on_an_empty_tableau_names_the_empty_tableau(call):
     assert str(exc.value) == "k must be in 1..rows, but the tableau has no rows"
 
 
+@pytest.mark.parametrize("call", [rectify_k, rectify_k_steps, phi, phi_steps, ct_rectify.eviction])
+@pytest.mark.parametrize("k", [1.5, 2.0, True, "1"])
+def test_a_k_that_is_not_an_int_is_refused(call, k):
+    # A float, a bool or a string would otherwise reach the kernels (True as 1).
+    tableau = VALID["ct"] if call in (phi, phi_steps) else VALID["rssyt"]
+    with pytest.raises(ValueError) as exc:
+        call(tableau, k)
+    assert str(exc.value) == f"k must be an int, got {k!r}"
+
+
 @pytest.mark.parametrize(
     "call, kind, message",
     [

@@ -193,6 +193,22 @@ except AttributeError as exc:
     assert run_fresh(code) == "module 'ctrect' has no attribute 'no_such_name'"
 
 
+def test_src_imports_only_the_standard_library():
+    # The package's own modules are imported relatively, so every absolute
+    # import names a top-level module that must come with Python.
+    outside = []
+    for path in sorted(Path(ctrect.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by an ``import`` statement anywhere in ``source`` that no
     expression of the module reads; ``from __future__`` imports are exempt."""

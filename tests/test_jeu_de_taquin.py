@@ -182,6 +182,15 @@ class TestInvariants:
         with pytest.raises(InvariantViolationError, match="does not fit the grid"):
             replay(Filling([[1]]), forged)
 
+    def test_replay_rejects_a_step_whose_direction_disagrees_with_its_cells(self):
+        t = Filling([[3, 1], [2]])
+        (trace,) = rectify_k(t, 1)[1]
+        (step,) = trace.steps
+        assert step == SlideStep((2, 1), (1, 1), 2, "up")
+        forged = trace._replace(steps=(step._replace(direction="left"),))
+        with pytest.raises(InvariantViolationError, match="does not fit the grid"):
+            replay(t, forged)
+
     def test_replay_rejects_a_vacated_cell_that_is_not_the_empty_cell(self):
         t = Filling([[3, 2], [1]])
         (trace,) = rectify_k(t, 1)[1]

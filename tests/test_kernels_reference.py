@@ -414,11 +414,9 @@ def test_phi_and_its_steps_match_reference(m):
         for k in range(1, u.n_rows + 1):
             ref_steps: list[tuple[str, Filling]] = []
             ref_out = reference_phi(u, k, ref_steps)
-            steps: list[tuple[str, Filling]] = []
             where = (u.rows, k)
             assert _phi(u, k, None) == ref_out, where
-            assert _phi(u, k, steps) == ref_out, where
-            assert steps == ref_steps, where
+            assert phi_steps(u, k) == ref_steps, where
             cases += 1
     assert cases == CASES[m]
 
