@@ -219,7 +219,7 @@ def replay(t: Filling, *traces: SlideTrace) -> list[tuple[str, Filling]]:
             direction = "up" if step.direction == "up" else "left"
             fr, fc = (hr + 1, hc) if direction == "up" else (hr, hc + 1)
             held = grid[fr - 1][fc - 1] if fr <= len(grid) and fc <= len(grid[fr - 1]) else None
-            if step != SlideStep((fr, fc), (hr, hc), held, direction):
+            if held is None or step != SlideStep((fr, fc), (hr, hc), held, direction):
                 raise InvariantViolationError(f"trace step {step} does not fit the grid")
             grid[hr - 1][hc - 1] = step.entry
             grid[fr - 1][fc - 1] = None

@@ -144,31 +144,29 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(nvars, terms)
 
 
-def _shapes(n: int, rows: int, partition: bool) -> list[tuple[int, ...]]:
-    # At most ``rows`` parts, first to last, each from 1 up; a partition caps
-    # each part at the one before it.
-    def gen(remaining: int, cap: int, rows: int) -> list[tuple[int, ...]]:
+def _shapes(n: int, partition: bool) -> list[tuple[int, ...]]:
+    # Parts first to last, each from 1 up; a partition caps each part at the
+    # one before it.
+    def gen(remaining: int, cap: int) -> list[tuple[int, ...]]:
         if remaining == 0:
             return [()]
-        if rows == 0:
-            return []
         return [
             (first,) + rest
             for first in range(1, min(remaining, cap) + 1)
-            for rest in gen(remaining - first, first if partition else n, rows - 1)
+            for rest in gen(remaining - first, first if partition else n)
         ]
 
-    return gen(n, n, rows)
+    return gen(n, n)
 
 
 def partitions(n: int) -> list[PartitionShape]:
     """All partitions of n, lexicographically ascending."""
-    return _shapes(n, n, partition=True)
+    return _shapes(n, partition=True)
 
 
 def compositions(n: int) -> list[CompositionShape]:
     """All compositions of n, lexicographically ascending."""
-    return _shapes(n, n, partition=False)
+    return _shapes(n, partition=False)
 
 
 def _fillings(

@@ -48,7 +48,7 @@ from .polynomials import (
     _ct_fillings,
     _rearrangements,
     _rssyt_fillings,
-    _shapes,
+    compositions,
     monomial_qsym_expand,
     monomial_sym_expand,
     is_quasisymmetric,
@@ -130,9 +130,7 @@ def _format_report(report: dict[int, list[int]]) -> str:
 
 # A property reads one work unit per shape of 1 to max_cells cells of each
 # of its ``kinds``, in order; ``fixed``, the identities in 3 variables, is
-# one unit.  ``ct`` and ``rssyt`` skip the shapes of more than max_entry
-# rows, which hold no tableau (see ``run_property``), but every ``schur``
-# shape counts.  ``_subjects`` lists what a unit checks: each subject with its
+# one unit.  ``_subjects`` lists what a unit checks: each subject with its
 # cases, one instance per case.  A tableau's cases are its k to rectify when
 # the property ``takes_k``, else ``_ONCE``; a ``schur`` shape's are its weight
 # sums in 1 to max_entry variables and the symmetry of its Schur polynomial.
@@ -144,10 +142,7 @@ def _format_report(report: dict[int, list[int]]) -> str:
 # produces is checked once, as its output.
 
 _SHAPES = {
-    "fixed": lambda m, rows: [None] if m == 1 else [],
-    "ct": lambda m, rows: _shapes(m, rows, False),
-    "rssyt": lambda m, rows: _shapes(m, rows, True),
-    "schur": lambda m, rows: partitions(m),
+    "fixed": lambda m: [None] if m == 1 else [], "ct": compositions, "rssyt": partitions, "schur": partitions
 }
 _ENUMERATE = {"ct": _ct_fillings, "rssyt": _rssyt_fillings}
 _ONCE = (None,)
@@ -360,7 +355,7 @@ def run_property(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     ks = (k_range or (1, max_cells)) if prop.takes_k else None
-    units = [(kind, s) for kind in prop.kinds for m in range(1, max_cells + 1) for s in _SHAPES[kind](m, max_entry)]
+    units = [(kind, s) for kind in prop.kinds for m in range(1, max_cells + 1) for s in _SHAPES[kind](m)]
     arglist = [(prop.check, unit, max_entry, ks) for unit in units]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(jobs, cpus, len(arglist))

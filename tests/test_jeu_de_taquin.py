@@ -182,6 +182,11 @@ class TestInvariants:
         with pytest.raises(InvariantViolationError, match="does not fit the grid"):
             replay(Filling([[1]]), forged)
 
+    def test_replay_rejects_a_hole_as_a_step_source(self):
+        forged = SlideTrace(1, (SlideStep((2, 1), (1, 1), None, "up"),), (2, 1))
+        with pytest.raises(InvariantViolationError, match="does not fit the grid"):
+            replay(Filling([[1]]), forged)
+
     def test_replay_rejects_a_step_whose_direction_disagrees_with_its_cells(self):
         t = Filling([[3, 1], [2]])
         (trace,) = rectify_k(t, 1)[1]

@@ -165,30 +165,6 @@ def test_schur_identities_enumerates_each_shape_once(monkeypatch):
     assert sorted(calls["rssyt"]) == sorted([(p, 6) for p in partitions] + [((2, 1), 3)])
 
 
-def test_shapes_of_more_rows_than_max_entry_are_skipped(monkeypatch):
-    # No tableau with entries <= 2 has three rows, so roundtrip at (8, 2)
-    # opens the 36 compositions and 24 partitions of at most two parts, of
-    # the 255 and 66 of 1 to 8 cells, and reports what all of them give.
-    opened = []
-    real = verify._subjects
-
-    def counting(unit, max_entry, k_range):
-        opened.append(unit[0])
-        return real(unit, max_entry, k_range)
-
-    monkeypatch.setattr(verify, "_subjects", counting)
-    report = run_property("roundtrip", 8, 2)
-    assert (opened.count("ct"), opened.count("rssyt")) == (36, 24)
-
-    opened.clear()
-    monkeypatch.setitem(verify._SHAPES, "ct", lambda m, _rows: polynomials.compositions(m))
-    monkeypatch.setitem(verify._SHAPES, "rssyt", lambda m, _rows: polynomials.partitions(m))
-    uncapped = run_property("roundtrip", 8, 2)
-    assert (opened.count("ct"), opened.count("rssyt")) == (255, 66)
-    assert report.render() == uncapped.render()
-    assert report.instances > 0
-
-
 INVALID = {"ct": Filling([[2], [1]]), "rssyt": Filling([[1, 2]])}
 
 
