@@ -12,23 +12,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from importlib import import_module
 
-# Only the carrier is loaded up front: the parser, input reading and the
-# error mapping in ``main`` need it.  Each handler imports the module it
-# runs, so a call loads no module its subcommand does not use.
-from .tableaux import (
-    Filling,
-    InvalidTableauError,
-    InvariantViolationError,
-    KINDS,
-    ParseError,
-    filling_from_json,
-    filling_to_json,
-    parse_filling,
-    render_filling,
-    violations,
-)
+# Every library name is read off the package, which loads a name's module on
+# first access, so a call loads no module its subcommand does not use.
+lib = sys.modules[__package__]
 
 EX_OK = 0
 EX_COUNTEREXAMPLE = 1
@@ -51,27 +38,27 @@ def _read_text(path: str) -> str:
             return handle.read()
     except UnicodeDecodeError as exc:
         source = "stdin" if path == "-" else path
-        raise ParseError(f"{source}: not UTF-8 text (byte {exc.start})") from None
+        raise lib.ParseError(f"{source}: not UTF-8 text (byte {exc.start})") from None
 
 
-def _read_tableau(path: str) -> Filling:
+def _read_tableau(path: str) -> lib.Filling:
     text = _read_text(path)
     if text.lstrip().startswith("{"):
-        return filling_from_json(text)
-    return parse_filling(text)
+        return lib.filling_from_json(text)
+    return lib.parse_filling(text)
 
 
-def _emit_tableau(f: Filling, as_json: bool) -> None:
-    print(filling_to_json(f) if as_json else render_filling(f))
+def _emit_tableau(f: lib.Filling, as_json: bool) -> None:
+    print(lib.filling_to_json(f) if as_json else lib.render_filling(f))
 
 
 def _parse_parts(raw: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(tok) for tok in raw.split(","))
     except ValueError:
-        raise ParseError(f"bad shape {raw!r}: expected comma-separated integers")
+        raise lib.ParseError(f"bad shape {raw!r}: expected comma-separated integers")
     if any(p < 1 for p in parts):
-        raise ParseError(f"bad shape {raw!r}: parts must be positive")
+        raise lib.ParseError(f"bad shape {raw!r}: parts must be positive")
     return parts
 
 
@@ -90,7 +77,7 @@ def _parse_k_range(raw: str) -> tuple[int, int]:
 
 def _cmd_validate(args) -> int:
     f = _read_tableau(args.file)
-    found = violations(args.kind, f)
+    found = lib.violations(args.kind, f)
     if found:
         for v in found:
             print(v)
@@ -99,24 +86,14 @@ def _cmd_validate(args) -> int:
     return EX_OK
 
 
-# The function each tableau-to-tableau command applies, as module.name; it is
-# looked up on its module at call time, so a call loads only that module.
-_MAPS = {
-    "rho": "bijection.rho",
-    "rho-inv": "bijection.rho_inv",
-    "evacuate": "jeu_de_taquin.evacuate",
-}
-
-
 def _cmd_map(args) -> int:
-    module, _, name = _MAPS[args.command].partition(".")
-    op = getattr(import_module(f".{module}", __package__), name)
+    op = getattr(lib, args.command.replace("-", "_"))
     try:
         out = op(_read_tableau(args.file))
-    except InvalidTableauError:
+    except lib.InvalidTableauError:
         raise
     except ValueError as exc:  # e.g. an entry above evacuate's cell count: bad input, not usage
-        raise ParseError(str(exc)) from exc
+        raise lib.ParseError(str(exc)) from exc
     _emit_tableau(out, args.json)
     return EX_OK
 
@@ -125,71 +102,55 @@ def _cmd_rectify(args) -> int:
     if args.trace and args.json:
         raise ValueError("--json does not apply to --trace output")
     f = _read_tableau(args.file)
-    if args.kind == "rssyt":
-        from .jeu_de_taquin import rectify_k as rectify, rectify_k_steps as steps, shifting_entries
-    else:
-        from .ct_rectify import phi as rectify, phi_steps as steps
     if args.trace:
+        steps = lib.phi_steps if args.kind == "ct" else lib.rectify_k_steps
         for label, state in steps(f, args.cells):
             print(f"== {label}")
-            text = render_filling(state)
+            text = lib.render_filling(state)
             if text:
                 print(text)
     elif args.kind == "ct":
-        _emit_tableau(rectify(f, args.cells), args.json)
+        _emit_tableau(lib.phi(f, args.cells), args.json)
     else:
-        result, traces = rectify(f, args.cells)
+        result, traces = lib.rectify_k(f, args.cells)
         _emit_tableau(result, args.json)
-        report = shifting_entries(traces)
+        report = lib.shifting_entries(traces)
         for c in sorted(report):
             print(f"shift column {c}: {' '.join(str(e) for e in report[c])}", file=sys.stderr)
     return EX_OK
 
 
 def _cmd_eviction(args) -> int:
-    from .ct_rectify import eviction
-
-    report = eviction(_read_tableau(args.file), args.cells)
+    report = lib.eviction(_read_tableau(args.file), args.cells)
     for c in sorted(report):
         print(f"column {c}: {' '.join(str(e) for e in report[c])}")
     return EX_OK
 
 
 def _cmd_expand(args) -> int:
-    from .polynomials import (
-        monomial_qsym_expand,
-        monomial_sym_expand,
-        render_polynomial,
-        schur_expand,
-    )
-
     parts = _parse_parts(args.parts)
     if args.vars < 1:
         raise ValueError(f"--vars must be at least 1, got {args.vars}")
-    expand = {"schur": schur_expand, "msym": monomial_sym_expand, "mqsym": monomial_qsym_expand}
+    expand = {"schur": lib.schur_expand, "msym": lib.monomial_sym_expand, "mqsym": lib.monomial_qsym_expand}
     try:
         poly = expand[args.basis](parts, args.vars)
     except ValueError as exc:  # e.g. a non-partition shape for schur/msym
-        raise ParseError(str(exc)) from exc
-    text = render_polynomial(poly)
+        raise lib.ParseError(str(exc)) from exc
+    text = lib.render_polynomial(poly)
     if text:
         print(text)
     return EX_OK
 
 
 def _cmd_check_qsym(args) -> int:
-    from .polynomials import is_quasisymmetric, is_symmetric, parse_polynomial
-
-    poly = parse_polynomial(_read_text(args.file))
-    qsym = is_quasisymmetric(poly)
+    poly = lib.parse_polynomial(_read_text(args.file))
+    qsym = lib.is_quasisymmetric(poly)
     print(f"quasisymmetric: {'true' if qsym else 'false'}")
-    print(f"symmetric: {'true' if is_symmetric(poly) else 'false'}")
+    print(f"symmetric: {'true' if lib.is_symmetric(poly) else 'false'}")
     return EX_OK if qsym else EX_COUNTEREXAMPLE
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_property
-
     k_range = _parse_k_range(args.k_range) if args.k_range else None
     # --out is opened once before the sweep, so that an unwritable path fails
     # at once, and for appending, so that a run stopped before the write
@@ -198,7 +159,7 @@ def _cmd_verify(args) -> int:
     if args.out:
         open(args.out, "a", encoding="utf-8").close()
     try:
-        report = run_property(
+        report = lib.run_property(
             args.property, args.max_cells, args.max_entry, k_range=k_range, jobs=args.jobs
         )
     except BaseException:
@@ -220,24 +181,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ctrect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def tableau_command(name: str, func, help_text: str, cells: bool = False):
+    def tableau_command(name: str, func, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", nargs="?", default="-", help="tableau file, or - for stdin")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        if cells:
-            p.add_argument("--cells", type=int, default=1, metavar="K", help="number of first-column cells")
         p.set_defaults(func=func)
         return p
 
     p = sub.add_parser("validate", help="check a filling against one tableau family")
-    p.add_argument("--kind", choices=KINDS, required=True)
+    p.add_argument("--kind", choices=lib.KINDS, required=True)
     p.add_argument("file", nargs="?", default="-")
     p.set_defaults(func=_cmd_validate)
 
     tableau_command("rho", _cmd_map, "composition tableau -> reverse SSYT")
     tableau_command("rho-inv", _cmd_map, "reverse SSYT -> composition tableau")
 
-    p = tableau_command("rectify", _cmd_rectify, "rectify k first-column cells", cells=True)
+    p = tableau_command("rectify", _cmd_rectify, "rectify k first-column cells")
+    p.add_argument("--cells", type=int, default=1, metavar="K", help="number of first-column cells")
     p.add_argument("--kind", choices=("rssyt", "ct"), required=True)
     p.add_argument("--trace", action="store_true", help="print every intermediate diagram")
 
@@ -287,14 +247,14 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EX_BROKEN_PIPE
-    except (ParseError, OSError) as exc:
+    except (lib.ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_INVALID_INPUT
-    except InvalidTableauError as exc:
+    except lib.InvalidTableauError as exc:
         for v in exc.violations:
             print(v, file=sys.stderr)
         return EX_INVALID_INPUT
-    except InvariantViolationError as exc:
+    except lib.InvariantViolationError as exc:
         print(f"counterexample: {exc}", file=sys.stderr)
         return EX_COUNTEREXAMPLE
     except ValueError as exc:

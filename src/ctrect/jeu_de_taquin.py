@@ -153,15 +153,17 @@ def is_diagonally_dominant(t: Filling, row: int, col: int) -> bool:
 
     Absent slots read 0; only filled cells in columns >= 2 qualify.
     """
-    return _is_dominant(validate("rssyt", t), row, col)
-
-
-def _is_dominant(t: Filling, row: int, col: int) -> bool:
-    # The kernel: t must be a valid reverse SSYT.
+    t = validate("rssyt", t)
     if col < 2:
         raise ValueError("diagonal dominance is defined for columns >= 2")
     if t.entry(row, col) == 0:
         raise ValueError(f"({row},{col}) is not a filled cell")
+    return _is_dominant(t, row, col)
+
+
+def _is_dominant(t: Filling, row: int, col: int) -> bool:
+    # The kernel: t must be a valid reverse SSYT with a filled cell at
+    # (row, col), col >= 2.
     return t.entry(row, col) > t.entry(row + 1, col - 1)
 
 

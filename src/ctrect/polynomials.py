@@ -46,6 +46,8 @@ class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
     __slots__ = ()
 
     def __new__(cls, nvars: int, terms: dict[tuple[int, ...], int]):
+        if nvars < 0:
+            raise ValueError(f"nvars must be nonnegative, got {nvars}")
         clean = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
@@ -128,8 +130,8 @@ def parse_polynomial(text: str) -> Polynomial:
         if not sep:
             raise ParseError(f"line {lineno}: expected 'coeff: e1,...,en'")
         try:
-            coeff = int(head.strip())
-            exps = tuple(int(tok.strip()) for tok in tail.split(","))
+            coeff = _decimal(head)
+            exps = tuple(_decimal(tok) for tok in tail.split(","))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         if any(e < 0 for e in exps):
@@ -142,6 +144,16 @@ def parse_polynomial(text: str) -> Polynomial:
     if nvars is None:
         raise ParseError("no terms found")
     return Polynomial(nvars, terms)
+
+
+def _decimal(token: str) -> int:
+    # int() also reads "1_0" and non-ASCII digits such as "٣"; a term holds
+    # an optional sign and ASCII digits only.
+    token = token.strip()
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
 
 
 def _shapes(n: int, partition: bool) -> list[tuple[int, ...]]:
@@ -295,11 +307,17 @@ def weight_monomial(f: Filling, nvars: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _check_nvars(nvars: int) -> None:
+    if nvars < 1:
+        raise ValueError(f"nvars must be at least 1, got {nvars}")
+
+
 def schur_expand(shape: PartitionShape, nvars: int) -> Polynomial:
     """Schur polynomial: sum of weight monomials over all SSYT of the shape.
 
     Each SSYT is the complement of a reverse SSYT, whose weight is the
     SSYT's reversed, so the sum runs over the reverse-SSYT stream."""
+    _check_nvars(nvars)
     return Polynomial.from_monomials(
         nvars,
         ((weight_monomial(t, nvars)[::-1], 1) for t in _rssyt_fillings(tuple(shape), nvars)),
@@ -308,6 +326,7 @@ def schur_expand(shape: PartitionShape, nvars: int) -> Polynomial:
 
 def monomial_sym_expand(shape: PartitionShape, nvars: int) -> Polynomial:
     """Monomial symmetric polynomial: one term per distinct rearrangement."""
+    _check_nvars(nvars)
     shape = tuple(shape)
     if shape and not is_partition_shape(shape):
         raise ValueError(f"{shape} is not a partition shape")
@@ -338,6 +357,7 @@ def _rearrangements(values: Iterable[int]) -> Iterator[tuple[int, ...]]:
 def monomial_qsym_expand(shape: CompositionShape, nvars: int) -> Polynomial:
     """Monomial quasisymmetric polynomial: the exponent sequence placed on
     every increasing choice of variables."""
+    _check_nvars(nvars)
     shape = tuple(shape)
     if any(part < 1 for part in shape):
         raise ValueError(f"{shape} is not a composition shape")

@@ -324,6 +324,10 @@ class TestCheckQsym:
         [
             ("1: x\n", "line 1: invalid literal for int() with base 10: 'x'"),
             ("1: -1,0\n", "line 1: exponents must be nonnegative"),
+            # int() reads each of these; a term takes ASCII decimals only.
+            ("1_0: 1,0\n", "line 1: invalid literal for int() with base 10: '1_0'"),
+            ("1: 1,0\n٣: 0,1\n", "line 2: invalid literal for int() with base 10: '٣'"),
+            ("1: １,0\n", "line 1: invalid literal for int() with base 10: '１'"),
         ],
     )
     def test_bad_polynomial_exits_2(self, capsys, tmp_path, text, message):
@@ -498,7 +502,7 @@ class TestVerify:
             "roundtrip", 3, 3, None, 5,
             [Counterexample("2 1 / 1", "2 1 / 1", "2 / 1 1")], 0.0,
         )
-        monkeypatch.setattr("ctrect.verify.run_property", lambda *a, **kw: canned)
+        monkeypatch.setattr("ctrect.run_property", lambda *a, **kw: canned)
         code, out, _ = run(
             capsys,
             "verify", "--property", "roundtrip", "--max-cells", "3", "--max-entry", "3",

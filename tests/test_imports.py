@@ -209,6 +209,22 @@ def test_src_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_cli_reads_library_names_off_the_package():
+    # The package's ``__getattr__`` is the one place that knows which module
+    # holds a name: the CLI imports none of its sibling modules and keeps no
+    # table of module paths of its own.
+    tree = ast.parse(Path(ctrect.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    relative = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    assert relative == []
+    assert names.isdisjoint({"_MAPS", "import_module"})
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by an ``import`` statement anywhere in ``source`` that no
     expression of the module reads; ``from __future__`` imports are exempt."""

@@ -190,6 +190,12 @@ class TestExpansions:
         with pytest.raises(ValueError, match=r"^\(1, 0\) is not a composition shape$"):
             monomial_qsym_expand((1, 0), 2)
 
+    @pytest.mark.parametrize("nvars", [0, -1])
+    @pytest.mark.parametrize("expand", [schur_expand, monomial_sym_expand, monomial_qsym_expand])
+    def test_nvars_below_one_rejected(self, expand, nvars):
+        with pytest.raises(ValueError, match=f"^nvars must be at least 1, got {nvars}$"):
+            expand((1,), nvars)
+
     def test_schur_21_in_three_vars(self):
         p = schur_expand((2, 1), 3)
         assert p.terms == {
@@ -410,6 +416,10 @@ class TestPolynomialType:
         assert (a + b).terms == {(1, 0): 3, (0, 1): 1}
         assert (b - a).terms == {(1, 0): 1, (0, 1): 1}
         assert (a - a).is_zero()
+
+    def test_negative_nvars_rejected(self):
+        with pytest.raises(ValueError, match="^nvars must be nonnegative, got -3$"):
+            Polynomial(-3, {})
 
     def test_var_mismatch(self):
         with pytest.raises(ValueError):
