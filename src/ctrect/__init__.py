@@ -62,6 +62,7 @@ _EXPORTS = {
         "filling_from_json",
         "filling_to_json",
         "parse_filling",
+        "parse_int",
         "render_filling",
         "validate",
         "violations",

@@ -25,6 +25,12 @@ EX_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # ``type=int`` flags read their value with ctrect's one integer rule;
+        # argparse still names the type ``int`` in its message.
+        self.register("type", int, lib.parse_int)
+
     def error(self, message: str):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
@@ -54,7 +60,7 @@ def _emit_tableau(f: lib.Filling, as_json: bool) -> None:
 
 def _parse_parts(raw: str) -> tuple[int, ...]:
     try:
-        parts = tuple(int(tok) for tok in raw.split(","))
+        parts = tuple(map(lib.parse_int, raw.split(",")))
     except ValueError:
         raise lib.ParseError(f"bad shape {raw!r}: expected comma-separated integers")
     if any(p < 1 for p in parts):
@@ -66,7 +72,7 @@ def _parse_k_range(raw: str) -> tuple[int, int]:
     # A ValueError, not a ParseError: a bad flag is a usage error (exit 64).
     lo, sep, hi = raw.partition("..")
     try:
-        k_lo, k_hi = (int(lo), int(hi)) if sep else (int(raw), int(raw))
+        k_lo, k_hi = map(lib.parse_int, (lo, hi) if sep else (raw, raw))
         ok = 1 <= k_lo <= k_hi
     except ValueError:
         ok = False

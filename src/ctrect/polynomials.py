@@ -34,6 +34,7 @@ from .tableaux import (
     PartitionShape,
     _Record,
     is_partition_shape,
+    parse_int,
 )
 
 
@@ -130,8 +131,8 @@ def parse_polynomial(text: str) -> Polynomial:
         if not sep:
             raise ParseError(f"line {lineno}: expected 'coeff: e1,...,en'")
         try:
-            coeff = _decimal(head)
-            exps = tuple(_decimal(tok) for tok in tail.split(","))
+            coeff = parse_int(head)
+            exps = tuple(parse_int(tok) for tok in tail.split(","))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         if any(e < 0 for e in exps):
@@ -144,16 +145,6 @@ def parse_polynomial(text: str) -> Polynomial:
     if nvars is None:
         raise ParseError("no terms found")
     return Polynomial(nvars, terms)
-
-
-def _decimal(token: str) -> int:
-    # int() also reads "1_0" and non-ASCII digits such as "٣"; a term holds
-    # an optional sign and ASCII digits only.
-    token = token.strip()
-    digits = token[1:] if token[:1] in ("+", "-") else token
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
-    return int(token)
 
 
 def _shapes(n: int, partition: bool) -> list[tuple[int, ...]]:

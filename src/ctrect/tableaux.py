@@ -3,8 +3,9 @@
 A :class:`Filling` is a rows-of-slots grid.  Each slot holds a positive
 integer or an explicit hole; slots past the end of a row are absent.  Holes
 and absent slots both read as entry 0.  On top of the carrier this module
-provides the text and JSON formats, the weight vector, and validators for
-the four tableau families used throughout the package:
+provides the text and JSON formats, ``parse_int`` (the package's one rule for
+an integer read as text), the weight vector, and validators for the four
+tableau families used throughout the package:
 
 * ``ssyt``  - semistandard Young tableaux (weakly increasing rows, strictly
   increasing columns, partition shape),
@@ -239,6 +240,18 @@ def parse_filling(text: str) -> Filling:
             row.append(value)
         rows.append(tuple(row))
     return Filling(tuple(rows))
+
+
+def parse_int(token: str) -> int:
+    """Read an optional sign and ASCII digits, surrounding whitespace
+    stripped: the one rule for every integer ctrect reads as text, tableau
+    entries aside.  ``int()`` also reads ``1_0`` and non-ASCII digits such as
+    ``٣``; for those this raises ``ValueError`` in ``int()``'s own words."""
+    token = token.strip()
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
 
 
 def render_filling(f: Filling) -> str:

@@ -664,3 +664,52 @@ class TestHelp:
             # on one usage line.
             expected = expected.replace("}\n              ...\n", "} ...\n", 1)
         assert capsys.readouterr().out == expected
+
+
+# int() reads each of these as an integer; ctrect's one integer rule,
+# ``parse_int``, refuses them wherever the CLI reads a number.
+NOT_INTEGERS = ["1_0", "٣", "１"]
+INT_FLAGS = {
+    "rectify --cells": ["rectify", "--kind", "ct", fx("ct_u.txt"), "--cells"],
+    "eviction --cells": ["eviction", fx("rssyt_t.txt"), "--cells"],
+    "expand --vars": ["expand", "schur", "1", "--vars"],
+    "verify --max-cells": ["verify", "--property", "roundtrip", "--max-entry", "2", "--max-cells"],
+    "verify --max-entry": ["verify", "--property", "roundtrip", "--max-cells", "2", "--max-entry"],
+    "verify --jobs": ["verify", "--property", "roundtrip", "--max-cells", "2", "--max-entry", "2", "--jobs"],
+}
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("raw", NOT_INTEGERS)
+    @pytest.mark.parametrize("flag", INT_FLAGS)
+    def test_int_flag_refuses_what_only_int_reads(self, capsys, flag, raw):
+        with pytest.raises(SystemExit) as exc:
+            main([*INT_FLAGS[flag], raw])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        option = flag.split()[1]
+        assert captured.err.endswith(f"error: argument {option}: invalid int value: {raw!r}\n")
+
+    @pytest.mark.parametrize("raw", NOT_INTEGERS)
+    def test_shape_refuses_what_only_int_reads(self, capsys, raw):
+        code, out, err = run(capsys, "expand", "msym", raw, "--vars", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad shape {raw!r}: expected comma-separated integers\n"
+
+    @pytest.mark.parametrize("raw", [*NOT_INTEGERS, *(f"1..{tok}" for tok in NOT_INTEGERS)])
+    def test_k_range_refuses_what_only_int_reads(self, capsys, raw):
+        code, out, err = run(
+            capsys,
+            "verify", "--property", "lemma41", "--max-cells", "2", "--max-entry", "2",
+            "--k-range", raw,
+        )
+        assert code == 64
+        assert out == ""
+        assert f"bad --k-range {raw!r}" in err
+
+    def test_signs_and_spaces_still_read(self, capsys):
+        code, out, _ = run(capsys, "expand", "msym", " 1,+1", "--vars", "+2")
+        assert code == 0
+        assert out == "1: 1,1\n"

@@ -14,6 +14,7 @@ from ctrect import (
     filling_from_json,
     filling_to_json,
     parse_filling,
+    parse_int,
     render_filling,
     validate,
     violations,
@@ -46,6 +47,18 @@ class TestParse:
 
     def test_trailing_blank_lines_dropped(self):
         assert parse_filling("1 1\n2\n\n") == Filling([[1, 1], [2]])
+
+
+class TestParseInt:
+    @pytest.mark.parametrize("token, value", [("7", 7), (" 7 ", 7), ("+7", 7), ("-7", -7)])
+    def test_sign_and_ascii_digits(self, token, value):
+        assert parse_int(token) == value
+
+    # int() reads 1_0, ٣ and １; the rule takes ASCII digits only.
+    @pytest.mark.parametrize("token", ["", "+", "1_0", "٣", "１", "1.0"])
+    def test_refused(self, token):
+        with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: "):
+            parse_int(token)
 
 
 class TestRender:

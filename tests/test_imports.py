@@ -155,8 +155,8 @@ print(json.dumps({"names": names, "wrong": wrong}))
 """
     out = run_fresh(code)
     assert out["wrong"] == []
-    assert len(out["names"]) == len(set(out["names"])) == 52
-    assert {"rho", "phi", "Filling", "run_property", "PROPERTY_NAMES"} <= set(out["names"])
+    assert len(out["names"]) == len(set(out["names"])) == 53
+    assert {"rho", "phi", "Filling", "parse_int", "run_property", "PROPERTY_NAMES"} <= set(out["names"])
 
 
 def test_dir_lists_the_public_names_before_they_are_loaded():

@@ -17,6 +17,12 @@ oracle, this gives the shifting entries of every column.
 
 The oracles use only ``bisect``, ``Counter`` and row lists; the kernels
 they check are imported for the comparison alone.
+
+Two more checks pit one kernel against another that shares no code with it.
+The entries ``phi`` moves out of each column, read off its trace, are the
+shifting entries that ``eviction`` finds by alignment: insertion against
+alignment.  And evacuation of a standard reverse tableau, shifted by +1, is
+an involution (Stanley, *EC2*, A1.2).
 """
 
 from __future__ import annotations
@@ -26,9 +32,10 @@ from collections import Counter
 
 import pytest
 
+from ctrect import Filling, evacuate, eviction, phi_steps, rho
 from ctrect.ct_rectify import _eviction
 from ctrect.jeu_de_taquin import _rectify_cells
-from ctrect.polynomials import enumerate_rssyt, partitions
+from ctrect.polynomials import compositions, enumerate_ct, enumerate_rssyt, partitions
 
 MAX_CELLS = 6
 MAX_ENTRY = 6
@@ -97,3 +104,66 @@ def test_oracles_load_no_kernel_module():
     kernel_names = {"jeu_de_taquin", "ct_rectify", "_rectify_cells", "_eviction", "_slide_out"}
     for oracle in (oracle_rectify, oracle_eviction, _columns):
         assert not kernel_names & set(oracle.__code__.co_names), oracle.__name__
+
+
+def moved_out_by_phi(u: Filling, k: int) -> dict[int, list[int]]:
+    """Column (1-based) -> entries phi moves out of it, decreasing; read off
+    ``phi_steps``.  Column 2 loses the entries swapped into column 1, the
+    second entries of the bottom k rows; column c >= 3 loses each entry that
+    the ``column {c-1} round`` turns into a hole."""
+    report = {}
+    swapped = [row[1] for row in u.rows[u.n_rows - k:] if len(row) > 1]
+    if swapped:
+        report[2] = swapped
+    steps = phi_steps(u, k)
+    for (_, before), (label, after) in zip(steps, steps[1:]):
+        if label.startswith("column "):
+            c = int(label.split()[1])  # the round pulls from 0-based column c
+            moved = [
+                row[c]
+                for row, new in zip(before.rows, after.rows)
+                if len(row) > c and row[c] is not None and new[c] is None
+            ]
+            if moved:
+                report[c + 1] = moved
+    return {c: sorted(entries, reverse=True) for c, entries in report.items()}
+
+
+def test_phi_moves_out_the_shifting_entries_of_eviction():
+    cases = 0
+    for m in range(1, 6):
+        for shape in compositions(m):
+            for u in enumerate_ct(shape, 5):
+                for k in range(1, u.n_rows + 1):
+                    assert moved_out_by_phi(u, k) == eviction(rho(u), k), (u.rows, k)
+                    cases += 1
+    assert cases == 2348
+
+
+def standard_reverse_tableaux(n: int):
+    """Every reverse tableau with entries exactly 1..n: the labels n, n-1,
+    ..., 1 placed in turn at each cell that can be added to the shape."""
+
+    def grow(rows: tuple[tuple[int, ...], ...], label: int):
+        if label == 0:
+            yield Filling(rows)
+            return
+        for r in range(len(rows) + 1):
+            if r == len(rows):
+                yield from grow(rows + ((label,),), label - 1)
+            elif r == 0 or len(rows[r]) < len(rows[r - 1]):
+                yield from grow(rows[:r] + (rows[r] + (label,),) + rows[r + 1:], label - 1)
+
+    return grow((), n)
+
+
+def shifted(f: Filling) -> Filling:
+    return Filling(tuple(tuple(v + 1 for v in row) for row in f.rows))
+
+
+def test_shifted_evacuation_is_an_involution():
+    tableaux = [t for n in range(1, 8) for t in standard_reverse_tableaux(n)]
+    # As many as the involutions of 1..7 elements (RSK; Stanley, EC2, 7.13).
+    assert len(tableaux) == 1 + 2 + 4 + 10 + 26 + 76 + 232 == 351
+    for t in tableaux:
+        assert shifted(evacuate(shifted(evacuate(t)))) == t, t.rows
