@@ -47,7 +47,6 @@ _EXPORTS = {
         "weight_monomial",
     ),
     "tableaux": (
-        "Cell",
         "CompositionShape",
         "Filling",
         "InvalidTableauError",
@@ -58,7 +57,6 @@ _EXPORTS = {
         "Row",
         "TableauKind",
         "Violation",
-        "Weight",
         "filling_from_json",
         "filling_to_json",
         "parse_filling",
@@ -66,7 +64,6 @@ _EXPORTS = {
         "render_filling",
         "validate",
         "violations",
-        "weight_of",
     ),
     "verify": ("Counterexample", "PROPERTY_NAMES", "VerifyReport", "run_property"),
 }

@@ -61,14 +61,15 @@ class SlideTrace(_Record, namedtuple("SlideTrace", "removed_entry steps vacated_
         return [(r, c, entry) for (r, c), _, entry, direction in self.steps if direction == "left"]
 
 
-def _slide_out(grid: list[list[int | None]], er: int, ec: int, removed: int) -> SlideTrace:
-    # Slide the hole at 0-based (er, ec) out of the grid, mutating it.  Any
+def _slide_out(grid: list[list[int | None]], er: int, removed: int) -> SlideTrace:
+    # Slide the hole at 0-based (er, 0) out of the grid, mutating it.  Any
     # other holes sit above the slide path and are never read.  ``row`` is
     # the hole's row and ``nxt`` the one below (empty past the last row);
     # entries are positive, so a hole or an absent slot reads 0.
     steps: list[SlideStep] = []
     new = tuple.__new__
     last = len(grid) - 1
+    ec = 0
     row = grid[er]
     nxt = grid[er + 1] if er < last else []
     while True:
@@ -110,7 +111,7 @@ def _rectify_cells(t: Filling, k: int) -> tuple[Filling, list[SlideTrace]]:
     grid: list[list[int | None]] = [list(row) for row in t.rows]
     for i in range(k):
         grid[i][0] = None
-    traces = [_slide_out(grid, i, 0, t.rows[i][0]) for i in range(k - 1, -1, -1)]
+    traces = [_slide_out(grid, i, t.rows[i][0]) for i in range(k - 1, -1, -1)]
     traces.reverse()  # report by cell: largest removed entry first
     out = check_invariant("rssyt", Filling._trusted(grid), "slides broke the tableau rules")
     return out, traces

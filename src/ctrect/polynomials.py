@@ -79,9 +79,6 @@ class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
             acc[exps] = acc.get(exps, 0) + coeff
         return cls(nvars, acc)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in graded lexicographic order, leading exponents first."""
         return sorted(
@@ -283,10 +280,8 @@ def enumerate_ct(shape: CompositionShape, max_entry: int) -> tuple[Filling, ...]
 
 
 def weight_monomial(f: Filling, nvars: int) -> tuple[int, ...]:
-    """Exponent vector of the tableau's weight, padded to nvars variables.
-
-    Holes and zero entries are not counted, as in ``weight_of``.
-    """
+    """Exponent vector of the tableau's weight, padded to nvars variables:
+    index v-1 counts entry v.  Holes and zero entries are not counted."""
     counts = [0] * nvars
     try:
         for row in f.rows:

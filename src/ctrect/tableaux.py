@@ -4,8 +4,8 @@ A :class:`Filling` is a rows-of-slots grid.  Each slot holds a positive
 integer or an explicit hole; slots past the end of a row are absent.  Holes
 and absent slots both read as entry 0.  On top of the carrier this module
 provides the text and JSON formats, ``parse_int`` (the package's one rule for
-an integer read as text), the weight vector, and validators for the four
-tableau families used throughout the package:
+an integer read as text), and validators for the four tableau families used
+throughout the package:
 
 * ``ssyt``  - semistandard Young tableaux (weakly increasing rows, strictly
   increasing columns, partition shape),
@@ -23,14 +23,12 @@ the left.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
-from typing import Iterable, Iterator, Literal
+from collections import namedtuple
+from typing import Iterable, Literal
 
 Row = tuple[int | None, ...]
-Cell = tuple[int, int]
 PartitionShape = tuple[int, ...]
 CompositionShape = tuple[int, ...]
-Weight = tuple[int, ...]
 TableauKind = Literal["ssyt", "rssyt", "syt", "ct"]
 
 KINDS: tuple[TableauKind, ...] = ("ssyt", "rssyt", "syt", "ct")
@@ -177,9 +175,6 @@ class Filling:
         """Number of non-hole slots."""
         return sum(1 for row in self.rows for v in row if v is not None)
 
-    def row_length(self, r: int) -> int:
-        return len(self.rows[r - 1])
-
     def entry(self, r: int, c: int) -> int:
         """Entry at (r, c); holes, absent slots and out-of-range read 0."""
         if r < 1 or c < 1 or r > len(self.rows):
@@ -189,21 +184,6 @@ class Filling:
             return 0
         v = row[c - 1]
         return 0 if v is None else v
-
-    def column(self, c: int) -> list[int]:
-        """Non-hole entries of column c, top to bottom."""
-        return [
-            row[c - 1]
-            for row in self.rows
-            if c <= len(row) and row[c - 1] is not None
-        ]
-
-    def cells(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (row, column, entry) for every non-hole slot, row-major."""
-        for r, row in enumerate(self.rows, start=1):
-            for c, v in enumerate(row, start=1):
-                if v is not None:
-                    yield (r, c, v)
 
     def __str__(self) -> str:
         return render_filling(self)
@@ -296,18 +276,6 @@ def filling_from_json(text: str) -> Filling:
                 raise ParseError(f"row {r} column {c}: entries must be positive integers or null")
         rows.append(tuple(row))
     return Filling(tuple(rows))
-
-
-def weight_of(f: Filling) -> Weight:
-    """Frequency vector of the entry values; index v-1 counts value v.
-
-    Holes are ignored.  The result has no trailing zero unless empty.
-    """
-    counts = Counter(v for row in f.rows for v in row if v)
-    if not counts:
-        return ()
-    top = max(counts)
-    return tuple(counts.get(v, 0) for v in range(1, top + 1))
 
 
 def is_partition_shape(parts: Iterable[int]) -> bool:

@@ -318,8 +318,7 @@ def _check_unit(args: tuple) -> tuple[int, list[Counterexample]]:
             for failure in check(unit[0], subject, cases):
                 ces.append(Counterexample(*failure))
         except InvariantViolationError as exc:
-            label = brief(subject) if isinstance(subject, Filling) else str(subject)
-            ces.append(Counterexample(label, "no invariant violation", f"error: {exc}"))
+            ces.append(Counterexample(brief(subject), "no invariant violation", f"error: {exc}"))
     return count, ces
 
 

@@ -9,10 +9,11 @@ from ctrect import (
     InvariantViolationError,
     rho,
     rho_inv,
-    weight_of,
 )
 from ctrect.bijection import _rho, _rho_inv
 from ctrect.polynomials import compositions, enumerate_ct, enumerate_rssyt, partitions
+
+from conftest import weight_of
 
 
 def test_worked_pair(ct_u, rssyt_t):
@@ -79,7 +80,9 @@ def test_weight_and_column_multisets_preserved(ct_u):
     t = rho(ct_u)
     assert weight_of(t) == weight_of(ct_u)
     for c in range(1, ct_u.width + 1):
-        assert sorted(t.column(c)) == sorted(ct_u.column(c))
+        assert sorted(row[c - 1] for row in t.rows if len(row) >= c) == sorted(
+            row[c - 1] for row in ct_u.rows if len(row) >= c
+        )
     back = rho_inv(t)
     assert weight_of(back) == weight_of(ct_u)
 

@@ -1,6 +1,7 @@
 """Import boundary: a call loads only the modules it runs, the package's
 public names resolve on first access, no module imports a name it does not
-use, and every private module-level name is read somewhere in the package.
+use, every private module-level name is read somewhere in the package, and
+every public name is read in the package or named in the README.
 
 Every load check runs in a fresh interpreter, since the test process has
 long since imported everything.
@@ -11,6 +12,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,7 @@ import pytest
 import ctrect
 
 FIXTURES = Path(__file__).parent / "fixtures"
+README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = str(Path(ctrect.__file__).resolve().parent.parent)
 HEAVY = ("ctrect.verify", "ctrect.polynomials", "concurrent.futures", "multiprocessing")
 PRINT_LOADED = f"import json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
@@ -155,7 +158,7 @@ print(json.dumps({"names": names, "wrong": wrong}))
 """
     out = run_fresh(code)
     assert out["wrong"] == []
-    assert len(out["names"]) == len(set(out["names"])) == 53
+    assert len(out["names"]) == len(set(out["names"])) == 50
     assert {"rho", "phi", "Filling", "parse_int", "run_property", "PROPERTY_NAMES"} <= set(out["names"])
 
 
@@ -289,3 +292,67 @@ def test_unread_private_names_finds_an_unread_name():
 def test_every_private_name_is_read_in_the_package():
     paths = sorted(Path(SRC, "ctrect").glob("*.py"))
     assert unread_private_names([path.read_text(encoding="utf-8") for path in paths]) == []
+
+
+def unread_public_names(sources: list[str], readme: str, names: list[str]) -> list[str]:
+    """The ``names`` that no expression in ``sources`` reads, as a name or
+    an attribute, and no inline code span of ``readme`` names; then, as
+    ``Class.attr``, each public attribute defined in the body of a top-level
+    class among ``names`` that no expression reads as an attribute and
+    ``readme`` does not name as ``Class.attr`` in a code span.
+
+    Reads match by name alone, not by the object read: ``args.cells`` in
+    the CLI would count as a read of a ``Filling.cells``, so an unread
+    attribute that shares its name with one read elsewhere slips past."""
+    trees = [ast.parse(source) for source in sources]
+    bare, attributes = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                bare.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.M | re.S)
+    spans = " ".join(re.findall(r"`([^`]+)`", prose))
+    read = bare | attributes
+    unread = [name for name in names if name not in read and not re.search(rf"\b{name}\b", spans)]
+    for tree in trees:
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and node.name in names):
+                continue
+            defined = []
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined.append(item.name)
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    defined += [t.id for t in targets if isinstance(t, ast.Name)]
+            unread += [
+                f"{node.name}.{attr}"
+                for attr in defined
+                if not attr.startswith("_")
+                and attr not in attributes
+                and not re.search(rf"\b{node.name}\.{attr}\b", spans)
+            ]
+    return unread
+
+
+def test_unread_public_names_finds_an_unread_name():
+    source = (
+        "class Kept:\n    size: int\n    limit = 1\n    def used(self): pass\n    def unread(self): pass\n"
+        "    def _private(self): pass\n    def __len__(self): return 0\n"
+        "class Dropped: pass\ndef shown(): pass\ndef helper(): pass\nKept().used()\nhelper()\n"
+    )
+    readme = "Call `shown()`, or read `Kept.size`.\n\n```sh\nDropped Kept.limit\n```\n"
+    names = ["Kept", "Dropped", "shown", "helper"]
+    assert unread_public_names([source], readme, names) == ["Dropped", "Kept.limit", "Kept.unread"]
+    # An attribute read counts for a name too, and a read of an attribute
+    # counts for every class that defines one of that name.
+    assert unread_public_names([source, "m.Dropped\nargs.unread\n"], readme, names) == ["Kept.limit"]
+
+
+def test_every_public_name_is_read_in_the_package_or_named_in_the_readme():
+    # ``__init__`` only maps the names to their modules, so its reads do not count.
+    paths = [path for path in sorted(Path(SRC, "ctrect").glob("*.py")) if path.name != "__init__.py"]
+    sources = [path.read_text(encoding="utf-8") for path in paths]
+    assert unread_public_names(sources, README.read_text(encoding="utf-8"), list(ctrect.__all__)) == []

@@ -17,13 +17,12 @@ from ctrect import (
     rectify_k_steps,
     replay,
     shifting_entries,
-    weight_of,
 )
 from ctrect import jeu_de_taquin
 from ctrect.jeu_de_taquin import _vacate
 from ctrect.polynomials import enumerate_rssyt, partitions
 
-from conftest import load
+from conftest import load, weight_of
 
 
 class TestRectifyOnce:
@@ -59,8 +58,8 @@ class TestRectifyOnce:
 
     def test_multiset_conservation(self, rssyt_t):
         result, (trace,) = rectify_k(rssyt_t, 1)
-        before = sorted(v for _, _, v in rssyt_t.cells())
-        after = sorted(v for _, _, v in result.cells())
+        before = sorted(v for row in rssyt_t.rows for v in row)
+        after = sorted(v for row in result.rows for v in row)
         before.remove(trace.removed_entry)
         assert after == before
 

@@ -114,10 +114,10 @@ def reference_shifting_entries(traces: list[SlideTrace]) -> dict[int, list[int]]
 
 
 def reference_eviction(t: Filling, k: int) -> dict[int, list[int]]:
-    survivors = t.column(1)[k:]
+    survivors = [row[0] for row in t.rows][k:]
     report: dict[int, list[int]] = {}
     for c in range(2, t.width + 1):
-        entries = t.column(c)  # decreasing top to bottom
+        entries = [row[c - 1] for row in t.rows if len(row) >= c]  # decreasing top to bottom
         taken = [False] * len(entries)
         matched = []
         for s in survivors:

@@ -27,9 +27,10 @@ from ctrect import (
     schur_expand,
     violations,
     weight_monomial,
-    weight_of,
 )
 from ctrect.polynomials import _ct_fillings, _rearrangements, _rssyt_fillings, compositions
+
+from conftest import weight_of
 
 
 def _brute_force_shapes(m: int, partition: bool = False) -> list[tuple[int, ...]]:
@@ -152,7 +153,7 @@ class TestEnumeration:
         assert (tableaux, cases) == (8113, 19148)
 
     def test_reading_word_order(self):
-        words = [tuple(v for _, _, v in t.cells()) for t in enumerate_ssyt((2, 1), 3)]
+        words = [tuple(v for row in t.rows for v in row) for t in enumerate_ssyt((2, 1), 3)]
         assert words == sorted(words)
 
     def test_bad_shapes_rejected(self):
@@ -408,14 +409,21 @@ class TestWeightMonomial:
 
 class TestPolynomialType:
     def test_zero_coefficients_dropped(self):
-        assert Polynomial(2, {(1, 0): 0}).is_zero()
+        assert Polynomial(2, {(1, 0): 0}) == Polynomial.zero(2)
 
     def test_add_sub(self):
         a = Polynomial(2, {(1, 0): 1})
         b = Polynomial(2, {(1, 0): 2, (0, 1): 1})
         assert (a + b).terms == {(1, 0): 3, (0, 1): 1}
         assert (b - a).terms == {(1, 0): 1, (0, 1): 1}
-        assert (a - a).is_zero()
+        assert a - a == Polynomial.zero(2)
+
+    def test_scalar_on_either_side(self):
+        # Without __mul__, p * 2 would be the 4-tuple of tuple repetition.
+        p = Polynomial(1, {(1,): 1})
+        for scaled in (p * 2, 2 * p):
+            assert type(scaled) is Polynomial
+            assert scaled == Polynomial(1, {(1,): 2})
 
     def test_negative_nvars_rejected(self):
         with pytest.raises(ValueError, match="^nvars must be nonnegative, got -3$"):

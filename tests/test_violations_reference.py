@@ -35,7 +35,7 @@ def reference_violations(kind: str, f: Filling) -> list[Violation]:
 
     if kind in ("ssyt", "rssyt", "syt"):
         for r in range(1, f.n_rows):
-            if f.row_length(r + 1) > f.row_length(r):
+            if len(f.rows[r]) > len(f.rows[r - 1]):
                 vs.append(Violation("shape", (r + 1, 1), "row is longer than the row above"))
 
     increasing_rows = kind in ("ssyt", "syt")
@@ -64,7 +64,7 @@ def reference_violations(kind: str, f: Filling) -> list[Violation]:
                     )
 
     if kind == "syt":
-        entries = sorted(v for _, _, v in f.cells())
+        entries = sorted(v for row in f.rows for v in row)
         if entries != list(range(1, len(entries) + 1)):
             vs.append(
                 Violation("content", (1, 1), f"entries must be exactly 1..{len(entries)}, each used once")
