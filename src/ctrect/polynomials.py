@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Iterator
 
 from .tableaux import (
@@ -38,6 +38,12 @@ from .tableaux import (
 )
 
 
+def _check_int(v: object, what: str) -> None:
+    # Filling's rule for its slots: an int, and not a bool.
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{what} must be an int, got {v!r}")
+
+
 class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
     """Integer polynomial in ``nvars`` variables as a sparse term map.
 
@@ -47,6 +53,7 @@ class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
     __slots__ = ()
 
     def __new__(cls, nvars: int, terms: dict[tuple[int, ...], int]):
+        _check_int(nvars, "nvars")
         if nvars < 0:
             raise ValueError(f"nvars must be nonnegative, got {nvars}")
         clean = {}
@@ -54,8 +61,9 @@ class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} does not have {nvars} entries")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
+            if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in exps):
+                raise ValueError(f"non-integer or negative exponent in {exps}")
+            _check_int(coeff, "a coefficient")
             if coeff:
                 clean[exps] = coeff
         return tuple.__new__(cls, (nvars, clean))
@@ -68,16 +76,6 @@ class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
         return cls(nvars, {})
-
-    @classmethod
-    def from_monomials(
-        cls, nvars: int, monomials: Iterable[tuple[tuple[int, ...], int]]
-    ) -> "Polynomial":
-        acc: dict[tuple[int, ...], int] = {}
-        for exps, coeff in monomials:
-            exps = tuple(exps)
-            acc[exps] = acc.get(exps, 0) + coeff
-        return cls(nvars, acc)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in graded lexicographic order, leading exponents first."""
@@ -92,9 +90,8 @@ class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_vars(other)
-        acc = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc[exps] = acc.get(exps, 0) + coeff
+        acc = Counter(self.terms)
+        acc.update(other.terms)
         return Polynomial(self.nvars, acc)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -118,7 +115,7 @@ def render_polynomial(p: Polynomial) -> str:
 
 def parse_polynomial(text: str) -> Polynomial:
     """Parse the ``coeff: e1,...,en`` term-per-line format."""
-    terms: dict[tuple[int, ...], int] = {}
+    terms: Counter[tuple[int, ...]] = Counter()
     nvars = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -138,7 +135,7 @@ def parse_polynomial(text: str) -> Polynomial:
             nvars = len(exps)
         elif len(exps) != nvars:
             raise ParseError(f"line {lineno}: expected {nvars} exponents, got {len(exps)}")
-        terms[exps] = terms.get(exps, 0) + coeff
+        terms[exps] += coeff
     if nvars is None:
         raise ParseError("no terms found")
     return Polynomial(nvars, terms)
@@ -205,7 +202,7 @@ def _fillings(
 def _rssyt_fillings(shape: PartitionShape, max_entry: int) -> Iterator[Filling]:
     """The reverse SSYT of ``enumerate_rssyt``, one at a time; the arguments
     are checked at the call."""
-    if shape and not is_partition_shape(shape):
+    if not is_partition_shape(shape):
         raise ValueError(f"{shape} is not a partition shape")
     if max_entry < 1:
         raise ValueError("max_entry must be >= 1")
@@ -294,6 +291,7 @@ def weight_monomial(f: Filling, nvars: int) -> tuple[int, ...]:
 
 
 def _check_nvars(nvars: int) -> None:
+    _check_int(nvars, "nvars")
     if nvars < 1:
         raise ValueError(f"nvars must be at least 1, got {nvars}")
 
@@ -304,17 +302,15 @@ def schur_expand(shape: PartitionShape, nvars: int) -> Polynomial:
     Each SSYT is the complement of a reverse SSYT, whose weight is the
     SSYT's reversed, so the sum runs over the reverse-SSYT stream."""
     _check_nvars(nvars)
-    return Polynomial.from_monomials(
-        nvars,
-        ((weight_monomial(t, nvars)[::-1], 1) for t in _rssyt_fillings(tuple(shape), nvars)),
-    )
+    rssyt = _rssyt_fillings(tuple(shape), nvars)
+    return Polynomial(nvars, Counter(weight_monomial(t, nvars)[::-1] for t in rssyt))
 
 
 def monomial_sym_expand(shape: PartitionShape, nvars: int) -> Polynomial:
     """Monomial symmetric polynomial: one term per distinct rearrangement."""
     _check_nvars(nvars)
     shape = tuple(shape)
-    if shape and not is_partition_shape(shape):
+    if not is_partition_shape(shape):
         raise ValueError(f"{shape} is not a partition shape")
     if len(shape) > nvars:
         return Polynomial.zero(nvars)
@@ -347,8 +343,6 @@ def monomial_qsym_expand(shape: CompositionShape, nvars: int) -> Polynomial:
     shape = tuple(shape)
     if any(part < 1 for part in shape):
         raise ValueError(f"{shape} is not a composition shape")
-    if len(shape) > nvars:
-        return Polynomial.zero(nvars)
     terms: dict[tuple[int, ...], int] = {}
     for positions in combinations(range(nvars), len(shape)):
         exps = [0] * nvars
@@ -358,34 +352,26 @@ def monomial_qsym_expand(shape: CompositionShape, nvars: int) -> Polynomial:
     return Polynomial(nvars, terms)
 
 
+def _uniform_groups(p: Polynomial, key: Callable, count: Callable) -> bool:
+    # The terms grouped by key(exps) fill each group's count(key) placements
+    # with one coefficient; the terms list each placement at most once.
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for exps, coeff in p.terms.items():
+        groups.setdefault(key(exps), []).append(coeff)
+    return all(len(cs) == count(k) and len(set(cs)) == 1 for k, cs in groups.items())
+
+
 def is_quasisymmetric(p: Polynomial) -> bool:
     """True when every placement of each exponent sequence onto increasing
-    variable choices carries the same coefficient.
-
-    Counted, not walked: a sequence of l nonzero exponents has comb(nvars, l)
-    placements, and the terms list each placement at most once.
-    """
-    by_comp: dict[tuple[int, ...], list[int]] = {}
-    for exps, coeff in p.terms.items():
-        by_comp.setdefault(tuple(e for e in exps if e), []).append(coeff)
-    return all(
-        len(coeffs) == comb(p.nvars, len(comp)) and len(set(coeffs)) == 1
-        for comp, coeffs in by_comp.items()
-    )
+    variable choices carries the same coefficient; l nonzero exponents have
+    comb(nvars, l) placements, counted, not walked."""
+    return _uniform_groups(p, lambda e: tuple(filter(None, e)), lambda k: comb(p.nvars, len(k)))
 
 
 def is_symmetric(p: Polynomial) -> bool:
-    """True when the polynomial is invariant under variable permutations."""
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for exps, coeff in p.terms.items():
-        key = tuple(sorted(exps, reverse=True))
-        groups.setdefault(key, {})[exps] = coeff
-    for key, placements in groups.items():
-        distinct = factorial(p.nvars)
-        for mult in Counter(key).values():
-            distinct //= factorial(mult)
-        if len(placements) != distinct:
-            return False
-        if len(set(placements.values())) != 1:
-            return False
-    return True
+    """True when the polynomial is invariant under variable permutations; an
+    exponent multiset with multiplicities m has nvars! / prod(m!) placements."""
+    n = factorial(p.nvars)
+    return _uniform_groups(
+        p, lambda e: tuple(sorted(e)), lambda k: n // prod(map(factorial, Counter(k).values()))
+    )

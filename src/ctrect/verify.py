@@ -122,8 +122,6 @@ def brief(f: Filling) -> str:
 
 
 def _format_report(report: dict[int, list[int]]) -> str:
-    if not report:
-        return "{}"
     parts = [f"col {c}: {report[c]}" for c in sorted(report)]
     return "{" + ", ".join(parts) + "}"
 

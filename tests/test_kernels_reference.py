@@ -33,6 +33,7 @@ left off the references.)
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Iterable
 
 import pytest
@@ -355,10 +356,8 @@ def reference_enumerate_ct(shape: tuple[int, ...], max_entry: int) -> tuple[Fill
 
 def reference_schur_expand(shape: tuple[int, ...], nvars: int) -> Polynomial:
     """Schur polynomial: sum of weight monomials over all SSYT of the shape."""
-    return Polynomial.from_monomials(
-        nvars,
-        ((weight_monomial(t, nvars), 1) for t in reference_enumerate_ssyt(tuple(shape), nvars)),
-    )
+    ssyt = reference_enumerate_ssyt(tuple(shape), nvars)
+    return Polynomial(nvars, Counter(weight_monomial(t, nvars) for t in ssyt))
 
 
 def _tableaux(m: int) -> list[Filling]:

@@ -258,6 +258,7 @@ class TestExpansions:
     def test_mqsym_edges(self):
         assert monomial_qsym_expand((3,), 2).terms == {(3, 0): 1, (0, 3): 1}
         assert monomial_qsym_expand((1, 2), 2).terms == {(1, 2): 1}
+        assert monomial_qsym_expand((1, 1, 1), 2) == Polynomial.zero(2)
 
     def test_identities(self):
         s21 = schur_expand((2, 1), 3)
@@ -289,6 +290,14 @@ def _quasisymmetric_reference(p: Polynomial) -> bool:
     return True
 
 
+def _symmetric_reference(p: Polynomial) -> bool:
+    # Reference: the term map is unchanged under every permutation of the variables.
+    return all(
+        {tuple(exps[i] for i in perm): c for exps, c in p.terms.items()} == p.terms
+        for perm in permutations(range(p.nvars))
+    )
+
+
 class TestPredicates:
     def test_quasisymmetric_matches_the_placement_walk(self):
         rng = random.Random(11)
@@ -317,6 +326,9 @@ class TestPredicates:
             polys.append(Polynomial(nvars, terms))
         verdicts = [is_quasisymmetric(p) for p in polys]
         assert verdicts == [_quasisymmetric_reference(p) for p in polys]
+        assert 0 < sum(verdicts) < len(polys)
+        verdicts = [is_symmetric(p) for p in polys]
+        assert verdicts == [_symmetric_reference(p) for p in polys]
         assert 0 < sum(verdicts) < len(polys)
 
     def test_quasisymmetric_examples(self):
@@ -424,6 +436,31 @@ class TestPolynomialType:
         for scaled in (p * 2, 2 * p):
             assert type(scaled) is Polynomial
             assert scaled == Polynomial(1, {(1,): 2})
+
+    # Filling's rule for its slots: an int, and not a bool, which would
+    # otherwise render as "True: 1,0".
+    @pytest.mark.parametrize(
+        "nvars, terms, message",
+        [
+            (2, {(1, 0): True}, "a coefficient must be an int, got True"),
+            (2, {(1, 0): 0.5}, "a coefficient must be an int, got 0.5"),
+            (2, {(True, 0): 1}, r"non-integer or negative exponent in \(True, 0\)"),
+            (2, {(0.5, 0): 1}, r"non-integer or negative exponent in \(0.5, 0\)"),
+            (True, {}, "nvars must be an int, got True"),
+            (2.0, {}, "nvars must be an int, got 2.0"),
+            ("2", {}, "nvars must be an int, got '2'"),
+        ],
+        ids=["bool-coeff", "float-coeff", "bool-exp", "float-exp", "bool-nvars", "float-nvars", "str-nvars"],
+    )
+    def test_non_integers_rejected(self, nvars, terms, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Polynomial(nvars, terms)
+
+    @pytest.mark.parametrize("expand", [schur_expand, monomial_sym_expand, monomial_qsym_expand])
+    @pytest.mark.parametrize("nvars", [True, 2.0])
+    def test_expansions_reject_non_integer_nvars(self, expand, nvars):
+        with pytest.raises(ValueError, match=f"^nvars must be an int, got {nvars!r}$"):
+            expand((1,), nvars)
 
     def test_negative_nvars_rejected(self):
         with pytest.raises(ValueError, match="^nvars must be nonnegative, got -3$"):
