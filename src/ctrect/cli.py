@@ -231,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cells", type=int, required=True)
     p.add_argument("--max-entry", type=int, required=True)
     p.add_argument("--k-range", metavar="A..B", help="restrict k (default: 1..rows)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, help="at most this many worker processes (default: one per usable CPU)"
+    )
     p.add_argument("--out", metavar="FILE", help="also write the report as JSON")
     p.set_defaults(func=_cmd_verify)
 

@@ -204,6 +204,7 @@ def _rssyt_fillings(shape: PartitionShape, max_entry: int) -> Iterator[Filling]:
     are checked at the call."""
     if not is_partition_shape(shape):
         raise ValueError(f"{shape} is not a partition shape")
+    _check_int(max_entry, "max_entry")
     if max_entry < 1:
         raise ValueError("max_entry must be >= 1")
     heights = [sum(part > c for part in shape) for c in range(max(shape, default=0))]
@@ -226,6 +227,7 @@ def _ct_fillings(shape: CompositionShape, max_entry: int) -> Iterator[Filling]:
     arguments are checked at the call."""
     if any(part < 1 for part in shape):
         raise ValueError(f"{shape} is not a composition shape")
+    _check_int(max_entry, "max_entry")
     if max_entry < 1:
         raise ValueError("max_entry must be >= 1")
 
@@ -247,7 +249,7 @@ def _ct_fillings(shape: CompositionShape, max_entry: int) -> Iterator[Filling]:
     return _fillings(shape, choices)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_ssyt(shape: PartitionShape, max_entry: int) -> tuple[Filling, ...]:
     """All semistandard Young tableaux of the shape (a tuple) with entries <=
     max_entry, ordered lexicographically by row-reading word.
@@ -262,14 +264,14 @@ def enumerate_ssyt(shape: PartitionShape, max_entry: int) -> tuple[Filling, ...]
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_rssyt(shape: PartitionShape, max_entry: int) -> tuple[Filling, ...]:
     """All reverse semistandard Young tableaux of the shape (a tuple) with
     entries <= max_entry, ordered lexicographically by row-reading word."""
     return tuple(_rssyt_fillings(shape, max_entry))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_ct(shape: CompositionShape, max_entry: int) -> tuple[Filling, ...]:
     """All composition tableaux of the shape (a tuple) with entries <=
     max_entry, ordered lexicographically by row-reading word."""

@@ -49,6 +49,10 @@ class InvalidTableauError(ValueError):
         summary = "; ".join(str(v) for v in violations)
         super().__init__(f"not a valid {kind}: {summary}")
 
+    def __reduce__(self):
+        # So that an error raised in a worker process reaches the caller.
+        return type(self), (self.kind, self.violations)
+
 
 class InvariantViolationError(RuntimeError):
     """A theorem-backed internal invariant failed.

@@ -26,7 +26,8 @@ those of comparing sorted lists throughout.
 
 Instance order is fixed (shapes by total cells then lexicographically,
 fillings by row-reading word), so reports are deterministic; ``jobs`` only
-splits the work units across processes and never changes the output.
+splits the work units across processes (by default one per usable CPU) and
+never changes the output.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .jeu_de_taquin import (
     shifting_entries,
 )
 from .polynomials import (
+    _check_int,
     _ct_fillings,
     _rearrangements,
     _rssyt_fillings,
@@ -325,15 +327,20 @@ def run_property(
     max_cells: int,
     max_entry: int,
     k_range: tuple[int, int] | None = None,
-    jobs: int = 1,
+    jobs: int | None = None,
 ) -> VerifyReport:
     """Check one property over every instance within bounds.
 
-    ``jobs`` is an upper bound on worker processes: at most one per usable
-    CPU and one per work unit are started, and a single worker runs in-process.
+    ``jobs`` (default: one per usable CPU) is an upper bound on worker
+    processes: at most one per usable CPU and one per work unit are started,
+    and a single worker runs in-process.
     """
     if name not in PROPERTIES:
         raise ValueError(f"unknown property {name!r}; choose from {', '.join(PROPERTY_NAMES)}")
+    _check_int(max_cells, "max_cells")
+    _check_int(max_entry, "max_entry")
+    for end in k_range or ():
+        _check_int(end, "a k_range end")
     if max_cells < 1 or max_entry < 1:
         raise ValueError("bounds must be at least 1")
     if k_range is not None and not 1 <= k_range[0] <= k_range[1]:
@@ -349,21 +356,33 @@ def run_property(
             f"k range {k_range[0]}..{k_range[1]} takes no tableau within max-cells={max_cells}"
             f" max-entry={max_entry}: none has more than {rows} rows"
         )
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs is not None:
+        _check_int(jobs, "jobs")
+        if jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs}")
     ks = (k_range or (1, max_cells)) if prop.takes_k else None
     units = [(kind, s) for kind in prop.kinds for m in range(1, max_cells + 1) for s in _SHAPES[kind](m)]
     arglist = [(prop.check, unit, max_entry, ks) for unit in units]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(jobs, cpus, len(arglist))
+    workers = min(jobs or cpus, cpus, len(arglist))
     started = time.perf_counter()
     if workers > 1:
         # Imported here so that serial runs do not pay for loading the pool
         # (multiprocessing, pickle, socket) at start-up.
         from concurrent.futures import ProcessPoolExecutor
 
+        # The units with the most cells go first, so that no worker is left
+        # alone with a large one at the end.  The results are read in unit
+        # order, so the report, and the first error raised, are the serial
+        # run's; on an error the units not yet started are dropped.
+        order = sorted(range(len(units)), key=lambda i: -sum(units[i][1] or ()))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_check_unit, arglist))
+            futures = {i: pool.submit(_check_unit, arglist[i]) for i in order}
+            try:
+                results = [futures[i].result() for i in range(len(units))]
+            finally:
+                for future in futures.values():
+                    future.cancel()
     else:
         results = [_check_unit(args) for args in arglist]
     instances = sum(count for count, _ in results)
@@ -377,4 +396,3 @@ def run_property(
         counterexamples,
         time.perf_counter() - started,
     )
-

@@ -3,6 +3,8 @@ kernels trust it, and every produced tableau is checked once."""
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from ctrect import (
@@ -158,6 +160,24 @@ def test_every_kernel_property_reports_corrupted_kernel_output(monkeypatch, name
     assert not report.ok
     assert all(ce.actual.startswith("error: ") for ce in report.counterexamples)
     assert any(FIRST_KERNEL_MESSAGE[name] in ce.actual for ce in report.counterexamples)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        InvalidTableauError("ct", violations("ct", NOT_CT)),
+        InvariantViolationError("slides broke the tableau rules: x", violations("rssyt", NOT_RSSYT)),
+        InvariantViolationError("no admissible cell"),
+    ],
+    ids=["invalid", "invariant", "invariant-bare"],
+)
+def test_errors_survive_pickling(error):
+    # A worker process sends its error to the caller pickled.
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert back.violations == error.violations
+    assert getattr(back, "kind", None) == getattr(error, "kind", None)
 
 
 def test_phi_equals_the_last_phi_step():

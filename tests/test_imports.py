@@ -144,6 +144,17 @@ def test_serial_verify_loads_no_pool():
     assert run_fresh(code) == ["ctrect.verify", "ctrect.polynomials"]
 
 
+def test_verify_on_one_usable_cpu_loads_no_pool():
+    # One worker per usable CPU by default, and one worker runs in-process.
+    code = (
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "from ctrect.verify import run_property\n"
+        "assert run_property('roundtrip', 2, 2).ok\n" + PRINT_LOADED
+    )
+    assert run_fresh(code) == ["ctrect.verify", "ctrect.polynomials"]
+
+
 def test_public_names_resolve_to_their_module_attributes():
     code = """
 import importlib, json

@@ -171,6 +171,17 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="^max_entry must be >= 1$"):
             enumerate_kind((2, 1), 0)
 
+    @pytest.mark.parametrize(
+        "enumerate_kind", [enumerate_ssyt, enumerate_rssyt, _rssyt_fillings, enumerate_ct, _ct_fillings]
+    )
+    @pytest.mark.parametrize("max_entry", [2.0, True])
+    def test_non_integer_max_entry_raises_at_the_call(self, enumerate_kind, max_entry):
+        # Filling's rule for its slots: an int, and not a bool; the caches
+        # keep 2.0 and True apart from the 2 and 1 they equal.
+        enumerate_kind((1,), int(max_entry))
+        with pytest.raises(ValueError, match=f"^max_entry must be an int, got {max_entry!r}$"):
+            enumerate_kind((1,), max_entry)
+
     @pytest.mark.parametrize("enumerate_kind", [enumerate_ssyt, enumerate_rssyt, _rssyt_fillings])
     @pytest.mark.parametrize("shape", [(1, 2), (2, 0)])
     def test_non_partition_shape_raises_at_the_call(self, enumerate_kind, shape):

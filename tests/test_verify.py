@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+from concurrent.futures import Future
 from itertools import islice
 
 import pytest
@@ -126,25 +128,28 @@ def test_each_enumerated_tableau_is_validated_once(monkeypatch, name, calls):
         return real(kind, f)
 
     monkeypatch.setattr(tableaux, "violations", counting)
-    run_property(name, 4, 4)
+    # In-process, so that the calls are counted here and not in workers.
+    run_property(name, 4, 4, jobs=1)
     assert len(seen) == calls
 
 
 def test_a_sweep_keeps_no_tableau():
     # The sweeps stream their tableaux; the public enumerators' caches stay
-    # empty however many properties run.
+    # empty however many properties run.  In-process, so that the caches
+    # looked at are the ones the sweeps would fill.
     caches = (polynomials.enumerate_ssyt, polynomials.enumerate_rssyt, polynomials.enumerate_ct)
     for cache in caches:
         cache.cache_clear()
     for name in PROPERTY_NAMES:
-        run_property(name, 4, 4)
+        run_property(name, 4, 4, jobs=1)
     assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
 
 
 def test_schur_identities_enumerates_each_shape_once(monkeypatch):
     # One composition-tableau stream per composition at max_entry, and one
     # reverse-SSYT stream per partition (in schur_expand), plus the fixed
-    # s21 in 3 variables; not one of each per number of variables.
+    # s21 in 3 variables; not one of each per number of variables.  Counted
+    # in-process.
     calls = {"ct": [], "rssyt": []}
 
     def counting(kind, real):
@@ -156,7 +161,7 @@ def test_schur_identities_enumerates_each_shape_once(monkeypatch):
 
     monkeypatch.setattr(verify, "_ct_fillings", counting("ct", verify._ct_fillings))
     monkeypatch.setattr(polynomials, "_rssyt_fillings", counting("rssyt", polynomials._rssyt_fillings))
-    assert run_property("schur-identities", 6, 6).ok
+    assert run_property("schur-identities", 6, 6, jobs=1).ok
     compositions = [c for m in range(1, 7) for c in polynomials.compositions(m)]
     partitions = [p for m in range(1, 7) for p in polynomials.partitions(m)]
     assert len(calls["ct"]) == 63
@@ -182,10 +187,14 @@ INVALID = {"ct": Filling([[2], [1]]), "rssyt": Filling([[1, 2]])}
 )
 def test_the_streams_reject_an_invalid_tableau(monkeypatch, name, kind):
     # The subject streams are the validation boundary: a stream that yields
-    # an invalid filling stops the run before any kernel sees it.
+    # an invalid filling stops the run before any kernel sees it.  From a
+    # worker the error reaches the caller as itself.
     monkeypatch.setitem(verify._ENUMERATE, kind, lambda shape, max_entry: iter([INVALID[kind]]))
-    with pytest.raises(InvalidTableauError):
-        run_property(name, 2, 2)
+    for jobs in (1, 2):
+        with pytest.raises(InvalidTableauError) as exc:
+            run_property(name, 2, 2, jobs=jobs)
+        assert exc.value.kind == kind
+        assert exc.value.violations == tableaux.violations(kind, INVALID[kind])
 
 
 def test_k_range_restriction():
@@ -204,9 +213,10 @@ def test_jobs_do_not_change_the_report(name):
     assert serial.instances == parallel.instances
 
 
-def _serial_executor(asked: list[int]):
+def _serial_executor(asked: list[int], submitted: list[tuple] | None = None):
     """A stand-in for ProcessPoolExecutor that records the worker count
-    asked for and maps in-process, so no process is started."""
+    asked for and the work units submitted, and runs each unit in-process
+    as it is submitted, so no process is started."""
 
     class SerialExecutor:
         def __init__(self, max_workers):
@@ -218,27 +228,35 @@ def _serial_executor(asked: list[int]):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, iterable):
-            return map(fn, iterable)
+        def submit(self, fn, args):
+            if submitted is not None:
+                submitted.append(args[1])
+            future = Future()
+            future.set_result(fn(args))
+            return future
 
     return SerialExecutor
 
 
 @pytest.mark.parametrize(
     "jobs, cpus, workers",
-    [(1000, 8, 8), (3, 8, 3), (1000, 64, 11), (2, 1, None), (2, None, None), (1, 8, None)],
+    [
+        (1000, 8, 8), (3, 8, 3), (1000, 64, 11), (2, 1, None), (2, None, None), (1, 8, None),
+        (None, 8, 8), (None, 64, 11), (None, 1, None), (None, None, None),
+    ],
 )
 def test_jobs_are_clamped_to_cpus_and_units(monkeypatch, jobs, cpus, workers):
     # lemma42 at 4/4 has 11 work units, one per partition of 1..4 cells.
     # Where os has no sched_getaffinity, the CPUs are os.cpu_count(), which
-    # may return None.  One worker runs in-process.
+    # may return None.  One worker runs in-process.  jobs=None asks for one
+    # worker per CPU.
     asked: list[int] = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _serial_executor(asked))
     monkeypatch.delattr(verify.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
     report = run_property("lemma42", 4, 4, jobs=jobs)
     assert asked == ([] if workers is None else [workers])
-    assert report.render() == run_property("lemma42", 4, 4).render()
+    assert report.render() == run_property("lemma42", 4, 4, jobs=1).render()
 
 
 def test_jobs_are_clamped_to_the_cpus_this_process_may_use(monkeypatch):
@@ -247,15 +265,69 @@ def test_jobs_are_clamped_to_the_cpus_this_process_may_use(monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _serial_executor(asked))
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
-    report = run_property("lemma42", 4, 4, jobs=8)
-    assert asked == []
-    assert report.render() == run_property("lemma42", 4, 4).render()
+    for jobs in (8, None):
+        report = run_property("lemma42", 4, 4, jobs=jobs)
+        assert asked == []
+        assert report.render() == run_property("lemma42", 4, 4, jobs=1).render()
+
+
+def _every_subject_fails(_kind, subject, _cases):
+    yield repr(subject), "", ""
+
+
+@pytest.mark.parametrize("name", ["roundtrip", "commutativity", "schur-identities"])
+def test_the_pool_gets_the_largest_units_first(monkeypatch, name):
+    # Units are submitted by descending cell count, ties in unit order, and
+    # their results are put back in unit order: with a counterexample for
+    # every subject, the report is still the serial one.
+    asked: list[int] = []
+    submitted: list[tuple] = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _serial_executor(asked, submitted))
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    prop = verify.PROPERTIES[name]
+    failing = verify._Property(prop.kinds, prop.takes_k, _every_subject_fails)
+    monkeypatch.setitem(verify.PROPERTIES, name, failing)
+    serial = run_property(name, 4, 4, jobs=1)
+    pooled = run_property(name, 4, 4)
+    assert asked == [2]
+    units = [(kind, s) for kind in prop.kinds for m in range(1, 5) for s in verify._SHAPES[kind](m)]
+    assert sum(submitted[0][1]) == 4
+    assert submitted == sorted(units, key=lambda unit: -sum(unit[1] or ()))
+    assert len(serial.counterexamples) >= len(units)
+    assert pooled.counterexamples == serial.counterexamples
+    assert pooled.render() == serial.render()
+
+
+def test_no_worker_outlives_the_call(monkeypatch):
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert run_property("lemma42", 4, 4, jobs=2).ok
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
 def test_jobs_below_one_rejected(jobs):
     with pytest.raises(ValueError, match="jobs must be at least 1"):
         run_property("lemma42", 4, 4, jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (("roundtrip", 2, True), {}, "max_entry must be an int, got True"),
+        (("roundtrip", 2.0, 2), {}, "max_cells must be an int, got 2.0"),
+        (("roundtrip", True, 2), {}, "max_cells must be an int, got True"),
+        (("roundtrip", 2, "2"), {}, "max_entry must be an int, got '2'"),
+        (("lemma41", 3, 3), {"k_range": (1, 2.0)}, "a k_range end must be an int, got 2.0"),
+        (("lemma41", 3, 3), {"k_range": (True, 2)}, "a k_range end must be an int, got True"),
+        (("roundtrip", 2, 2), {"jobs": 2.0}, "jobs must be an int, got 2.0"),
+        (("roundtrip", 2, 2), {"jobs": True}, "jobs must be an int, got True"),
+    ],
+)
+def test_non_integer_bounds_and_jobs_rejected(args, kwargs, message):
+    # Filling's rule for its slots: an int, and not a bool.
+    with pytest.raises(ValueError) as exc:
+        run_property(*args, **kwargs)
+    assert str(exc.value) == message
 
 
 def test_report_render_shape():
