@@ -32,6 +32,7 @@ from .tableaux import (
     Filling,
     InvariantViolationError,
     _Record,
+    _check_int,
     _validate_k,
     check_invariant,
     validate,
@@ -155,6 +156,8 @@ def is_diagonally_dominant(t: Filling, row: int, col: int) -> bool:
     Absent slots read 0; only filled cells in columns >= 2 qualify.
     """
     t = validate("rssyt", t)
+    _check_int(row, "row")
+    _check_int(col, "col")
     if col < 2:
         raise ValueError("diagonal dominance is defined for columns >= 2")
     if t.entry(row, col) == 0:

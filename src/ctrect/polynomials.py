@@ -33,15 +33,10 @@ from .tableaux import (
     ParseError,
     PartitionShape,
     _Record,
-    is_partition_shape,
+    _check_int,
+    _check_shape,
     parse_int,
 )
-
-
-def _check_int(v: object, what: str) -> None:
-    # Filling's rule for its slots: an int, and not a bool.
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"{what} must be an int, got {v!r}")
 
 
 class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
@@ -53,9 +48,7 @@ class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
     __slots__ = ()
 
     def __new__(cls, nvars: int, terms: dict[tuple[int, ...], int]):
-        _check_int(nvars, "nvars")
-        if nvars < 0:
-            raise ValueError(f"nvars must be nonnegative, got {nvars}")
+        _check_int(nvars, "nvars", 0)
         clean = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
@@ -142,6 +135,7 @@ def parse_polynomial(text: str) -> Polynomial:
 
 
 def _shapes(n: int, partition: bool) -> list[tuple[int, ...]]:
+    _check_int(n, "n", 0)
     # Parts first to last, each from 1 up; a partition caps each part at the
     # one before it.
     def gen(remaining: int, cap: int) -> list[tuple[int, ...]]:
@@ -202,11 +196,8 @@ def _fillings(
 def _rssyt_fillings(shape: PartitionShape, max_entry: int) -> Iterator[Filling]:
     """The reverse SSYT of ``enumerate_rssyt``, one at a time; the arguments
     are checked at the call."""
-    if not is_partition_shape(shape):
-        raise ValueError(f"{shape} is not a partition shape")
-    _check_int(max_entry, "max_entry")
-    if max_entry < 1:
-        raise ValueError("max_entry must be >= 1")
+    shape = _check_shape(shape, partition=True)
+    _check_int(max_entry, "max_entry", 1)
     heights = [sum(part > c for part in shape) for c in range(max(shape, default=0))]
 
     def choices(grid: list[list[int]], r: int, c: int) -> range:
@@ -225,11 +216,8 @@ def _rssyt_fillings(shape: PartitionShape, max_entry: int) -> Iterator[Filling]:
 def _ct_fillings(shape: CompositionShape, max_entry: int) -> Iterator[Filling]:
     """The composition tableaux of ``enumerate_ct``, one at a time; the
     arguments are checked at the call."""
-    if any(part < 1 for part in shape):
-        raise ValueError(f"{shape} is not a composition shape")
-    _check_int(max_entry, "max_entry")
-    if max_entry < 1:
-        raise ValueError("max_entry must be >= 1")
+    shape = _check_shape(shape, partition=False)
+    _check_int(max_entry, "max_entry", 1)
 
     def choices(grid: list[list[int]], r: int, c: int) -> Iterable[int]:
         # The first column strictly increases and a row weakly decreases.
@@ -292,28 +280,20 @@ def weight_monomial(f: Filling, nvars: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _check_nvars(nvars: int) -> None:
-    _check_int(nvars, "nvars")
-    if nvars < 1:
-        raise ValueError(f"nvars must be at least 1, got {nvars}")
-
-
 def schur_expand(shape: PartitionShape, nvars: int) -> Polynomial:
     """Schur polynomial: sum of weight monomials over all SSYT of the shape.
 
     Each SSYT is the complement of a reverse SSYT, whose weight is the
     SSYT's reversed, so the sum runs over the reverse-SSYT stream."""
-    _check_nvars(nvars)
-    rssyt = _rssyt_fillings(tuple(shape), nvars)
+    _check_int(nvars, "nvars", 1)
+    rssyt = _rssyt_fillings(shape, nvars)
     return Polynomial(nvars, Counter(weight_monomial(t, nvars)[::-1] for t in rssyt))
 
 
 def monomial_sym_expand(shape: PartitionShape, nvars: int) -> Polynomial:
     """Monomial symmetric polynomial: one term per distinct rearrangement."""
-    _check_nvars(nvars)
-    shape = tuple(shape)
-    if not is_partition_shape(shape):
-        raise ValueError(f"{shape} is not a partition shape")
+    _check_int(nvars, "nvars", 1)
+    shape = _check_shape(shape, partition=True)
     if len(shape) > nvars:
         return Polynomial.zero(nvars)
     padded = shape + (0,) * (nvars - len(shape))
@@ -341,10 +321,8 @@ def _rearrangements(values: Iterable[int]) -> Iterator[tuple[int, ...]]:
 def monomial_qsym_expand(shape: CompositionShape, nvars: int) -> Polynomial:
     """Monomial quasisymmetric polynomial: the exponent sequence placed on
     every increasing choice of variables."""
-    _check_nvars(nvars)
-    shape = tuple(shape)
-    if any(part < 1 for part in shape):
-        raise ValueError(f"{shape} is not a composition shape")
+    _check_int(nvars, "nvars", 1)
+    shape = _check_shape(shape, partition=False)
     terms: dict[tuple[int, ...], int] = {}
     for positions in combinations(range(nvars), len(shape)):
         exps = [0] * nvars

@@ -3,8 +3,9 @@
 A :class:`Filling` is a rows-of-slots grid.  Each slot holds a positive
 integer or an explicit hole; slots past the end of a row are absent.  Holes
 and absent slots both read as entry 0.  On top of the carrier this module
-provides the text and JSON formats, ``parse_int`` (the package's one rule for
-an integer read as text), and validators for the four tableau families used
+provides the text and JSON formats, the package's one rule for an integer
+argument, read as text (``parse_int``) or passed as an object (``_check_int``,
+``_check_shape``), and validators for the four tableau families used
 throughout the package:
 
 * ``ssyt``  - semistandard Young tableaux (weakly increasing rows, strictly
@@ -238,6 +239,25 @@ def parse_int(token: str) -> int:
     return int(token)
 
 
+def _check_int(v: object, what: str, least: int | None = None) -> None:
+    # Filling's rule for its slots: an int, and not a bool; then the bound.
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{what} must be an int, got {v!r}")
+    if least is not None and v < least:
+        raise ValueError(f"{what} must be at least {least}, got {v}")
+
+
+def _check_shape(shape: Iterable[int], partition: bool) -> tuple[int, ...]:
+    # The shape as a tuple: int parts, each at least 1, and weakly
+    # decreasing for a partition.
+    shape = tuple(shape)
+    for part in shape:
+        _check_int(part, f"a part of {shape}")
+    if any(p < 1 for p in shape) or partition and any(a < b for a, b in zip(shape, shape[1:])):
+        raise ValueError(f"{shape} is not a {'partition' if partition else 'composition'} shape")
+    return shape
+
+
 def render_filling(f: Filling) -> str:
     """Render a filling in the text format, tokens joined by single spaces.
 
@@ -280,13 +300,6 @@ def filling_from_json(text: str) -> Filling:
                 raise ParseError(f"row {r} column {c}: entries must be positive integers or null")
         rows.append(tuple(row))
     return Filling(tuple(rows))
-
-
-def is_partition_shape(parts: Iterable[int]) -> bool:
-    parts = tuple(parts)
-    return all(p >= 1 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
 
 
 def violations(kind: TableauKind, f: Filling) -> list[Violation]:
@@ -422,8 +435,7 @@ def check_invariant(kind: TableauKind, f: Filling, what: str) -> Filling:
 def _validate_k(kind: TableauKind, f: Filling, k: int) -> Filling:
     # Input check shared by the k-cell operations: validate, then check k.
     f = validate(kind, f)
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise ValueError(f"k must be an int, got {k!r}")
+    _check_int(k, "k")
     if not f.n_rows:
         raise ValueError("k must be in 1..rows, but the tableau has no rows")
     if not 1 <= k <= f.n_rows:

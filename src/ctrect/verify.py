@@ -46,7 +46,6 @@ from .jeu_de_taquin import (
     shifting_entries,
 )
 from .polynomials import (
-    _check_int,
     _ct_fillings,
     _rearrangements,
     _rssyt_fillings,
@@ -59,7 +58,7 @@ from .polynomials import (
     schur_expand,
     weight_monomial,
 )
-from .tableaux import Filling, InvariantViolationError, _Record, render_filling, validate
+from .tableaux import Filling, InvariantViolationError, _Record, _check_int, render_filling, validate
 
 MAX_RENDERED_COUNTEREXAMPLES = 10
 
@@ -337,12 +336,10 @@ def run_property(
     """
     if name not in PROPERTIES:
         raise ValueError(f"unknown property {name!r}; choose from {', '.join(PROPERTY_NAMES)}")
-    _check_int(max_cells, "max_cells")
-    _check_int(max_entry, "max_entry")
+    _check_int(max_cells, "max_cells", 1)
+    _check_int(max_entry, "max_entry", 1)
     for end in k_range or ():
         _check_int(end, "a k_range end")
-    if max_cells < 1 or max_entry < 1:
-        raise ValueError("bounds must be at least 1")
     if k_range is not None and not 1 <= k_range[0] <= k_range[1]:
         raise ValueError(f"bad k_range {k_range[0]}..{k_range[1]}: expected A..B with 1 <= A <= B")
     prop = PROPERTIES[name]
@@ -357,9 +354,7 @@ def run_property(
             f" max-entry={max_entry}: none has more than {rows} rows"
         )
     if jobs is not None:
-        _check_int(jobs, "jobs")
-        if jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {jobs}")
+        _check_int(jobs, "jobs", 1)
     ks = (k_range or (1, max_cells)) if prop.takes_k else None
     units = [(kind, s) for kind in prop.kinds for m in range(1, max_cells + 1) for s in _SHAPES[kind](m)]
     arglist = [(prop.check, unit, max_entry, ks) for unit in units]

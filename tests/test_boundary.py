@@ -13,6 +13,7 @@ from ctrect import (
     InvariantViolationError,
     bijection,
     ct_rectify,
+    is_diagonally_dominant,
     jeu_de_taquin,
     phi,
     phi_steps,
@@ -23,7 +24,17 @@ from ctrect import (
     run_property,
     violations,
 )
-from ctrect.polynomials import compositions, enumerate_ct
+from ctrect.polynomials import (
+    Polynomial,
+    _ct_fillings,
+    _rssyt_fillings,
+    compositions,
+    enumerate_ct,
+    monomial_qsym_expand,
+    monomial_sym_expand,
+    partitions,
+    schur_expand,
+)
 
 NOT_CT = Filling([[2, 1], [3, 2]])  # breaks the triple rule
 NOT_RSSYT = Filling([[1, 2], [3]])  # increasing row, longer column below
@@ -83,6 +94,134 @@ def test_a_k_that_is_not_an_int_is_refused(call, k):
     assert str(exc.value) == f"k must be an int, got {k!r}"
 
 
+def _rule(call, message, name):
+    return pytest.param(call, message, id=name)
+
+
+# Every call site of the argument rule (``tableaux._check_int`` and
+# ``_check_shape``), given a bool, a float and a value below its bound.
+ARGUMENT_RULE = [
+    _rule(lambda: rectify_k(VALID["rssyt"], True), "k must be an int, got True", "k-bool"),
+    _rule(lambda: phi(VALID["ct"], 1.0), "k must be an int, got 1.0", "k-float"),
+    _rule(lambda: rectify_k(VALID["rssyt"], 0), "k must be in 1..3, got 0", "k-below"),
+    _rule(lambda: Polynomial(True, {}), "nvars must be an int, got True", "Polynomial-nvars-bool"),
+    _rule(lambda: Polynomial(1.0, {}), "nvars must be an int, got 1.0", "Polynomial-nvars-float"),
+    _rule(lambda: Polynomial(-1, {}), "nvars must be at least 0, got -1", "Polynomial-nvars-below"),
+    _rule(lambda: Polynomial(1, {(1,): True}), "a coefficient must be an int, got True", "coefficient-bool"),
+    _rule(lambda: Polynomial(1, {(1,): 0.5}), "a coefficient must be an int, got 0.5", "coefficient-float"),
+    _rule(lambda: partitions(True), "n must be an int, got True", "partitions-bool"),
+    _rule(lambda: partitions(2.0), "n must be an int, got 2.0", "partitions-float"),
+    _rule(lambda: partitions(-1), "n must be at least 0, got -1", "partitions-below"),
+    _rule(lambda: compositions(True), "n must be an int, got True", "compositions-bool"),
+    _rule(lambda: compositions(2.0), "n must be an int, got 2.0", "compositions-float"),
+    _rule(lambda: compositions(-1), "n must be at least 0, got -1", "compositions-below"),
+    _rule(lambda: _rssyt_fillings((1,), True), "max_entry must be an int, got True", "rssyt-max_entry-bool"),
+    _rule(lambda: _rssyt_fillings((1,), 2.0), "max_entry must be an int, got 2.0", "rssyt-max_entry-float"),
+    _rule(lambda: _rssyt_fillings((1,), 0), "max_entry must be at least 1, got 0", "rssyt-max_entry-below"),
+    _rule(
+        lambda: _rssyt_fillings((1, True), 2),
+        "a part of (1, True) must be an int, got True",
+        "rssyt-part-bool",
+    ),
+    _rule(
+        lambda: _rssyt_fillings((1, 1.0), 2),
+        "a part of (1, 1.0) must be an int, got 1.0",
+        "rssyt-part-float",
+    ),
+    _rule(lambda: _rssyt_fillings((1, 0), 2), "(1, 0) is not a partition shape", "rssyt-part-below"),
+    _rule(lambda: _rssyt_fillings((1, 2), 2), "(1, 2) is not a partition shape", "rssyt-part-increase"),
+    _rule(lambda: _ct_fillings((1,), True), "max_entry must be an int, got True", "ct-max_entry-bool"),
+    _rule(lambda: _ct_fillings((1,), 2.0), "max_entry must be an int, got 2.0", "ct-max_entry-float"),
+    _rule(lambda: _ct_fillings((1,), 0), "max_entry must be at least 1, got 0", "ct-max_entry-below"),
+    _rule(lambda: _ct_fillings((1, True), 2), "a part of (1, True) must be an int, got True", "ct-part-bool"),
+    _rule(lambda: _ct_fillings((1.0,), 2), "a part of (1.0,) must be an int, got 1.0", "ct-part-float"),
+    _rule(lambda: _ct_fillings((0, 1), 2), "(0, 1) is not a composition shape", "ct-part-below"),
+    _rule(lambda: schur_expand((1,), True), "nvars must be an int, got True", "schur-nvars-bool"),
+    _rule(lambda: schur_expand((1,), 2.0), "nvars must be an int, got 2.0", "schur-nvars-float"),
+    _rule(lambda: schur_expand((1,), 0), "nvars must be at least 1, got 0", "schur-nvars-below"),
+    _rule(lambda: schur_expand((2, 1.0), 2), "a part of (2, 1.0) must be an int, got 1.0", "schur-part-float"),
+    _rule(lambda: schur_expand((1, 2), 2), "(1, 2) is not a partition shape", "schur-part-increase"),
+    _rule(lambda: monomial_sym_expand((1,), True), "nvars must be an int, got True", "msym-nvars-bool"),
+    _rule(lambda: monomial_sym_expand((1,), 2.0), "nvars must be an int, got 2.0", "msym-nvars-float"),
+    _rule(lambda: monomial_sym_expand((1,), 0), "nvars must be at least 1, got 0", "msym-nvars-below"),
+    _rule(
+        lambda: monomial_sym_expand((2, True), 2),
+        "a part of (2, True) must be an int, got True",
+        "msym-part-bool",
+    ),
+    _rule(
+        lambda: monomial_sym_expand((2, 1.0), 2),
+        "a part of (2, 1.0) must be an int, got 1.0",
+        "msym-part-float",
+    ),
+    _rule(lambda: monomial_sym_expand((2, 0), 2), "(2, 0) is not a partition shape", "msym-part-below"),
+    _rule(lambda: monomial_qsym_expand((1,), True), "nvars must be an int, got True", "mqsym-nvars-bool"),
+    _rule(lambda: monomial_qsym_expand((1,), 2.0), "nvars must be an int, got 2.0", "mqsym-nvars-float"),
+    _rule(lambda: monomial_qsym_expand((1,), 0), "nvars must be at least 1, got 0", "mqsym-nvars-below"),
+    _rule(
+        lambda: monomial_qsym_expand((1, True), 3),
+        "a part of (1, True) must be an int, got True",
+        "mqsym-part-bool",
+    ),
+    _rule(
+        lambda: monomial_qsym_expand((1, 1.5), 3),
+        "a part of (1, 1.5) must be an int, got 1.5",
+        "mqsym-part-float",
+    ),
+    _rule(lambda: monomial_qsym_expand((1, 0), 3), "(1, 0) is not a composition shape", "mqsym-part-below"),
+    _rule(lambda: run_property("roundtrip", True, 2), "max_cells must be an int, got True", "max_cells-bool"),
+    _rule(lambda: run_property("roundtrip", 2.0, 2), "max_cells must be an int, got 2.0", "max_cells-float"),
+    _rule(lambda: run_property("roundtrip", 0, 2), "max_cells must be at least 1, got 0", "max_cells-below"),
+    _rule(lambda: run_property("roundtrip", 2, True), "max_entry must be an int, got True", "max_entry-bool"),
+    _rule(lambda: run_property("roundtrip", 2, 2.0), "max_entry must be an int, got 2.0", "max_entry-float"),
+    _rule(lambda: run_property("roundtrip", 2, 0), "max_entry must be at least 1, got 0", "max_entry-below"),
+    _rule(
+        lambda: run_property("lemma41", 2, 2, k_range=(True, 2)),
+        "a k_range end must be an int, got True",
+        "k_range-bool",
+    ),
+    _rule(
+        lambda: run_property("lemma41", 2, 2, k_range=(1, 2.0)),
+        "a k_range end must be an int, got 2.0",
+        "k_range-float",
+    ),
+    _rule(
+        lambda: run_property("lemma41", 2, 2, k_range=(0, 2)),
+        "bad k_range 0..2: expected A..B with 1 <= A <= B",
+        "k_range-below",
+    ),
+    _rule(lambda: run_property("roundtrip", 2, 2, jobs=True), "jobs must be an int, got True", "jobs-bool"),
+    _rule(lambda: run_property("roundtrip", 2, 2, jobs=2.0), "jobs must be an int, got 2.0", "jobs-float"),
+    _rule(lambda: run_property("roundtrip", 2, 2, jobs=0), "jobs must be at least 1, got 0", "jobs-below"),
+    _rule(lambda: is_diagonally_dominant(VALID["rssyt"], True, 2), "row must be an int, got True", "row-bool"),
+    _rule(lambda: is_diagonally_dominant(VALID["rssyt"], 1.0, 2), "row must be an int, got 1.0", "row-float"),
+    _rule(lambda: is_diagonally_dominant(VALID["rssyt"], 0, 2), "(0,2) is not a filled cell", "row-below"),
+    _rule(lambda: is_diagonally_dominant(VALID["rssyt"], 1, True), "col must be an int, got True", "col-bool"),
+    _rule(lambda: is_diagonally_dominant(VALID["rssyt"], 1, 2.0), "col must be an int, got 2.0", "col-float"),
+    _rule(
+        lambda: is_diagonally_dominant(VALID["rssyt"], 1, 1),
+        "diagonal dominance is defined for columns >= 2",
+        "col-below",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", ARGUMENT_RULE)
+def test_the_argument_rule_at_every_call_site(call, message):
+    # An int and not a bool, at least the site's bound: a bool is not read
+    # as 0 or 1, and a float never reaches a range or an index.
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_the_bounds_themselves_are_allowed():
+    assert partitions(0) == compositions(0) == [()]
+    assert Polynomial(0, {(): 3}).terms == {(): 3}
+    assert schur_expand((1,), 1) == Polynomial(1, {(1,): 1})
+    assert is_diagonally_dominant(Filling([[3, 2], [1]]), 1, 2) is True
+
+
 @pytest.mark.parametrize(
     "call, kind, message",
     [
@@ -132,7 +271,7 @@ def _corrupt_kernel_outputs(monkeypatch):
 def test_verify_reports_corrupted_kernel_output(monkeypatch):
     # The harness calls the kernels directly; their output checks still run.
     _corrupt_kernel_outputs(monkeypatch)
-    report = run_property("roundtrip", 3, 3)
+    report = run_property("roundtrip", 3, 3, jobs=1)
     assert not report.ok
     assert all(ce.actual.startswith("error: ") for ce in report.counterexamples)
     assert any("did not produce" in ce.actual for ce in report.counterexamples)
@@ -155,7 +294,7 @@ def test_every_kernel_property_reports_corrupted_kernel_output(monkeypatch, name
     # kernel and is not run here.
     instances = run_property(name, 3, 3).instances
     _corrupt_kernel_outputs(monkeypatch)
-    report = run_property(name, 3, 3)
+    report = run_property(name, 3, 3, jobs=1)
     assert report.instances == instances
     assert not report.ok
     assert all(ce.actual.startswith("error: ") for ce in report.counterexamples)

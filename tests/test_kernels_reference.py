@@ -61,7 +61,7 @@ from ctrect.polynomials import (
     schur_expand,
     weight_monomial,
 )
-from ctrect.tableaux import Filling, InvariantViolationError, check_invariant, is_partition_shape
+from ctrect.tableaux import Filling, InvariantViolationError, check_invariant
 
 MAX_CELLS = 6
 MAX_ENTRY = 6
@@ -313,7 +313,7 @@ def reference_enumerate_ssyt(shape: tuple[int, ...], max_entry: int) -> tuple[Fi
 def reference_enumerate_rssyt(shape: tuple[int, ...], max_entry: int) -> tuple[Filling, ...]:
     """All reverse semistandard Young tableaux of the shape (a tuple) with
     entries <= max_entry, ordered lexicographically by row-reading word."""
-    if shape and not is_partition_shape(shape):
+    if any(p < 1 for p in shape) or any(a < b for a, b in zip(shape, shape[1:])):
         raise ValueError(f"{shape} is not a partition shape")
     heights = [sum(part > c for part in shape) for c in range(max(shape, default=0))]
 

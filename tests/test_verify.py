@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -33,7 +34,7 @@ def test_instance_counts_pinned():
 
 def test_dominance_reports_a_path_that_disagrees_with_the_trace(monkeypatch):
     monkeypatch.setattr(verify, "_dominant_path", lambda t: [(1, 2, 99)])
-    report = run_property("dominance", 3, 3)
+    report = run_property("dominance", 3, 3, jobs=1)
     assert report.counterexamples
     assert all(ce.expected == "dominant path equals trace shifts" for ce in report.counterexamples)
     assert report.counterexamples[0].actual.startswith("dominant path [(1, 2, 99)] disagrees with slide shifts ")
@@ -65,7 +66,7 @@ def test_eviction_compared_per_column_as_multisets(monkeypatch, name):
     # Columns of two or more shifting entries occur at 4/4, and their
     # reversal must not count as a disagreement.
     _plant_eviction(monkeypatch, _reversed)
-    report = run_property(name, 4, 4)
+    report = run_property(name, 4, 4, jobs=1)
     assert report.instances == 312
     assert report.counterexamples == []
 
@@ -80,7 +81,7 @@ def test_eviction_compared_per_column_as_multisets(monkeypatch, name):
 )
 def test_eviction_disagreement_reported_with_sorted_columns(monkeypatch, name, mutate, count, actual):
     _plant_eviction(monkeypatch, mutate)
-    report = run_property(name, 4, 4)
+    report = run_property(name, 4, 4, jobs=1)
     assert len(report.counterexamples) == count
     assert report.render().splitlines()[3] == f"counterexamples: {count}"
     pinned = [ce for ce in report.counterexamples if ce.instance == "k=2: 4 3 / 2 1"]
@@ -91,8 +92,8 @@ def test_lemma43_k_range_starting_above_one(monkeypatch):
     # The bottom rows of u are gathered one per k, so a run from k = 2 must
     # already hold two of them at its first k.
     _plant_eviction(monkeypatch, _first_entry_dropped)
-    full = run_property("lemma43", 5, 5)
-    part = run_property("lemma43", 5, 5, k_range=(2, 3))
+    full = run_property("lemma43", 5, 5, jobs=1)
+    part = run_property("lemma43", 5, 5, k_range=(2, 3), jobs=1)
     assert part.counterexamples
     assert part.counterexamples == [
         ce for ce in full.counterexamples if ce.instance.startswith(("k=2: ", "k=3: "))
@@ -188,8 +189,11 @@ INVALID = {"ct": Filling([[2], [1]]), "rssyt": Filling([[1, 2]])}
 def test_the_streams_reject_an_invalid_tableau(monkeypatch, name, kind):
     # The subject streams are the validation boundary: a stream that yields
     # an invalid filling stops the run before any kernel sees it.  From a
-    # worker the error reaches the caller as itself.
+    # worker the error reaches the caller as itself.  The planted stream
+    # reaches the workers only if they are forked from this process.
     monkeypatch.setitem(verify._ENUMERATE, kind, lambda shape, max_entry: iter([INVALID[kind]]))
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=fork))
     for jobs in (1, 2):
         with pytest.raises(InvalidTableauError) as exc:
             run_property(name, 2, 2, jobs=jobs)
@@ -365,9 +369,9 @@ def test_unknown_property():
 
 
 def test_bad_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^max_cells must be at least 1, got 0$"):
         run_property("dominance", 0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad k_range 2\.\.1: expected A\.\.B with 1 <= A <= B$"):
         run_property("dominance", 3, 3, k_range=(2, 1))
 
 
@@ -464,7 +468,7 @@ def _first_only(real):
 )
 def test_each_checker_reports_a_planted_failure(monkeypatch, name, attr, plant, bounds, count, block):
     monkeypatch.setattr(verify, attr, plant(getattr(verify, attr)))
-    lines = run_property(name, *bounds).render().splitlines()
+    lines = run_property(name, *bounds, jobs=1).render().splitlines()
     instance, expected, actual = block
     assert lines[3:7] == [
         f"counterexamples: {count}",
