@@ -132,7 +132,7 @@ def rectify_k(t: Filling, k: int) -> tuple[Filling, list[SlideTrace]]:
 def rectify_k_steps(t: Filling, k: int) -> list[tuple[str, Filling]]:
     """Labelled snapshots of a k-cell rectification, in slide order."""
     out, traces = rectify_k(t, k)
-    return replay(t, *traces) + [("result", out)]
+    return _replay(t, *traces) + [("result", out)]
 
 
 def shifting_entries(traces: list[SlideTrace]) -> ShiftReport:
@@ -213,6 +213,11 @@ def replay(t: Filling, *traces: SlideTrace) -> list[tuple[str, Filling]]:
     including a step whose direction disagrees with its cells, so tests can
     use it to check trace coherence.
     """
+    return _replay(validate("rssyt", t), *traces)
+
+
+def _replay(t: Filling, *traces: SlideTrace) -> list[tuple[str, Filling]]:
+    # The kernel: t must be a valid reverse SSYT; the traces are checked here.
     grid: list[list[int | None]] = [list(row) for row in t.rows]
     for i, trace in enumerate(traces):
         if i >= len(grid) or not grid[i] or grid[i][0] != trace.removed_entry:

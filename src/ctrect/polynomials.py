@@ -269,6 +269,12 @@ def enumerate_ct(shape: CompositionShape, max_entry: int) -> tuple[Filling, ...]
 def weight_monomial(f: Filling, nvars: int) -> tuple[int, ...]:
     """Exponent vector of the tableau's weight, padded to nvars variables:
     index v-1 counts entry v.  Holes and zero entries are not counted."""
+    _check_int(nvars, "nvars", 0)
+    return _weight_monomial(f, nvars)
+
+
+def _weight_monomial(f: Filling, nvars: int) -> tuple[int, ...]:
+    # The kernel, called once per enumerated tableau: nvars must be an int >= 0.
     counts = [0] * nvars
     try:
         for row in f.rows:
@@ -287,7 +293,7 @@ def schur_expand(shape: PartitionShape, nvars: int) -> Polynomial:
     SSYT's reversed, so the sum runs over the reverse-SSYT stream."""
     _check_int(nvars, "nvars", 1)
     rssyt = _rssyt_fillings(shape, nvars)
-    return Polynomial(nvars, Counter(weight_monomial(t, nvars)[::-1] for t in rssyt))
+    return Polynomial(nvars, Counter(_weight_monomial(t, nvars)[::-1] for t in rssyt))
 
 
 def monomial_sym_expand(shape: PartitionShape, nvars: int) -> Polynomial:

@@ -49,6 +49,7 @@ from .polynomials import (
     _ct_fillings,
     _rearrangements,
     _rssyt_fillings,
+    _weight_monomial,
     compositions,
     monomial_qsym_expand,
     monomial_sym_expand,
@@ -56,7 +57,6 @@ from .polynomials import (
     is_symmetric,
     partitions,
     schur_expand,
-    weight_monomial,
 )
 from .tableaux import Filling, InvariantViolationError, _Record, _check_int, render_filling, validate
 
@@ -83,16 +83,12 @@ class VerifyReport(
     def ok(self) -> bool:
         return not self.counterexamples
 
-    def _k_range_str(self) -> str:
-        if self.k_range is None:
-            return "1..rows"
-        return f"{self.k_range[0]}..{self.k_range[1]}"
-
     def render(self) -> str:
         """Deterministic report block (wall time deliberately excluded)."""
+        k = "1..rows" if self.k_range is None else f"{self.k_range[0]}..{self.k_range[1]}"
         lines = [
             f"property: {self.name}",
-            f"bounds: max-cells={self.max_cells} max-entry={self.max_entry} k={self._k_range_str()}",
+            f"bounds: max-cells={self.max_cells} max-entry={self.max_entry} k={k}",
             f"instances: {self.instances}",
             f"counterexamples: {len(self.counterexamples)}",
         ]
@@ -141,7 +137,7 @@ def _format_report(report: dict[int, list[int]]) -> str:
 # produces is checked once, as its output.
 
 _SHAPES = {
-    "fixed": lambda m: [None] if m == 1 else [], "ct": compositions, "rssyt": partitions, "schur": partitions
+    "fixed": lambda m: [()] if m == 1 else [], "ct": compositions, "rssyt": partitions, "schur": partitions
 }
 _ENUMERATE = {"ct": _ct_fillings, "rssyt": _rssyt_fillings}
 _ONCE = (None,)
@@ -265,7 +261,7 @@ def _check_schur(kind: str, subject, _cases) -> Iterator[tuple[str, str, str]]:
     shape, max_entry = subject
     s = schur_expand(shape, max_entry)
     weights = Counter(
-        weight_monomial(u, max_entry) for comp in _rearrangements(shape) for u in _ct_fillings(comp, max_entry)
+        _weight_monomial(u, max_entry) for comp in _rearrangements(shape) for u in _ct_fillings(comp, max_entry)
     )
     # Each term of s is a reverse-SSYT weight, reversed.  A tableau has its
     # entries <= n exactly when its weight is 0 past n, so the two sums in n
@@ -303,12 +299,11 @@ PROPERTIES: dict[str, _Property] = {
 PROPERTY_NAMES = tuple(PROPERTIES)
 
 
-def _check_unit(args: tuple) -> tuple[int, list[Counterexample]]:
+def _check_unit(check, unit: tuple, max_entry: int, k_range: tuple | None) -> tuple[int, list[Counterexample]]:
     # The driver: one property's check over one work unit.  An
     # InvariantViolationError while checking a subject becomes that
     # subject's counterexample, its cases still count as instances, and the
     # sweep goes on.
-    check, unit, max_entry, k_range = args
     count = 0
     ces: list[Counterexample] = []
     for subject, cases in _subjects(unit, max_entry, k_range):
@@ -357,9 +352,8 @@ def run_property(
         _check_int(jobs, "jobs", 1)
     ks = (k_range or (1, max_cells)) if prop.takes_k else None
     units = [(kind, s) for kind in prop.kinds for m in range(1, max_cells + 1) for s in _SHAPES[kind](m)]
-    arglist = [(prop.check, unit, max_entry, ks) for unit in units]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(jobs or cpus, cpus, len(arglist))
+    workers = min(jobs or cpus, cpus, len(units))
     started = time.perf_counter()
     if workers > 1:
         # Imported here so that serial runs do not pay for loading the pool
@@ -370,16 +364,15 @@ def run_property(
         # alone with a large one at the end.  The results are read in unit
         # order, so the report, and the first error raised, are the serial
         # run's; on an error the units not yet started are dropped.
-        order = sorted(range(len(units)), key=lambda i: -sum(units[i][1] or ()))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(_check_unit, arglist[i]) for i in order}
-            try:
-                results = [futures[i].result() for i in range(len(units))]
-            finally:
-                for future in futures.values():
-                    future.cancel()
+        order = sorted(range(len(units)), key=lambda i: -sum(units[i][1]))
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            futures = {i: pool.submit(_check_unit, prop.check, units[i], max_entry, ks) for i in order}
+            results = [futures[i].result() for i in range(len(units))]
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
-        results = [_check_unit(args) for args in arglist]
+        results = [_check_unit(prop.check, unit, max_entry, ks) for unit in units]
     instances = sum(count for count, _ in results)
     counterexamples = [ce for _, ces in results for ce in ces]
     return VerifyReport(

@@ -19,6 +19,7 @@ from ctrect import (
     phi_steps,
     rectify_k,
     rectify_k_steps,
+    replay,
     rho,
     rho_inv,
     run_property,
@@ -34,6 +35,7 @@ from ctrect.polynomials import (
     monomial_sym_expand,
     partitions,
     schur_expand,
+    weight_monomial,
 )
 
 NOT_CT = Filling([[2, 1], [3, 2]])  # breaks the triple rule
@@ -46,6 +48,7 @@ INPUT_KIND = {
     "rectify_k_steps": "rssyt",
     "phi": "ct",
     "phi_steps": "ct",
+    "replay": "rssyt",
 }
 CALLS = {
     "rho": lambda f, k: rho(f),
@@ -54,6 +57,7 @@ CALLS = {
     "rectify_k_steps": rectify_k_steps,
     "phi": phi,
     "phi_steps": phi_steps,
+    "replay": lambda f, k: replay(f),
 }
 K_CALLS = ("rectify_k", "rectify_k_steps", "phi", "phi_steps")
 VALID = {"ct": Filling([[1], [3, 2], [4]]), "rssyt": Filling([[4, 3], [2], [1]])}
@@ -136,6 +140,9 @@ ARGUMENT_RULE = [
     _rule(lambda: _ct_fillings((1, True), 2), "a part of (1, True) must be an int, got True", "ct-part-bool"),
     _rule(lambda: _ct_fillings((1.0,), 2), "a part of (1.0,) must be an int, got 1.0", "ct-part-float"),
     _rule(lambda: _ct_fillings((0, 1), 2), "(0, 1) is not a composition shape", "ct-part-below"),
+    _rule(lambda: weight_monomial(Filling([[1]]), True), "nvars must be an int, got True", "weight-nvars-bool"),
+    _rule(lambda: weight_monomial(Filling([[1]]), 1.0), "nvars must be an int, got 1.0", "weight-nvars-float"),
+    _rule(lambda: weight_monomial(Filling([[1]]), -1), "nvars must be at least 0, got -1", "weight-nvars-below"),
     _rule(lambda: schur_expand((1,), True), "nvars must be an int, got True", "schur-nvars-bool"),
     _rule(lambda: schur_expand((1,), 2.0), "nvars must be an int, got 2.0", "schur-nvars-float"),
     _rule(lambda: schur_expand((1,), 0), "nvars must be at least 1, got 0", "schur-nvars-below"),

@@ -226,18 +226,15 @@ def _serial_executor(asked: list[int], submitted: list[tuple] | None = None):
         def __init__(self, max_workers):
             asked.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def submit(self, fn, args):
+        def submit(self, fn, *args):
             if submitted is not None:
                 submitted.append(args[1])
             future = Future()
-            future.set_result(fn(args))
+            future.set_result(fn(*args))
             return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
     return SerialExecutor
 
@@ -305,6 +302,18 @@ def test_the_pool_gets_the_largest_units_first(monkeypatch, name):
 def test_no_worker_outlives_the_call(monkeypatch):
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert run_property("lemma42", 4, 4, jobs=2).ok
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_an_error(monkeypatch):
+    # A worker's error reaches the caller only once the pool is shut down,
+    # so no worker is left running.
+    monkeypatch.setitem(verify._ENUMERATE, "rssyt", lambda shape, max_entry: iter([INVALID["rssyt"]]))
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=fork))
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(InvalidTableauError):
+        run_property("lemma42", 4, 4, jobs=2)
     assert multiprocessing.active_children() == []
 
 
