@@ -70,25 +70,12 @@ class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
     def zero(cls, nvars: int) -> "Polynomial":
         return cls(nvars, {})
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in graded lexicographic order, leading exponents first."""
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])),
-        )
-
-    def _require_same_vars(self, other: "Polynomial") -> None:
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.nvars != other.nvars:
             raise ValueError(f"variable counts differ: {self.nvars} != {other.nvars}")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._require_same_vars(other)
         acc = Counter(self.terms)
         acc.update(other.terms)
         return Polynomial(self.nvars, acc)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-1) * other
 
     def __rmul__(self, scalar: int) -> "Polynomial":
         return Polynomial(self.nvars, {e: scalar * c for e, c in self.terms.items()})
@@ -100,10 +87,10 @@ class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
 
 
 def render_polynomial(p: Polynomial) -> str:
-    """One term per line, ``coeff: e1,e2,...,en``, in graded lex order."""
-    return "\n".join(
-        f"{coeff}: {','.join(str(e) for e in exps)}" for exps, coeff in p.sorted_terms()
-    )
+    """One term per line, ``coeff: e1,e2,...,en``, in graded lex order:
+    by total degree, then leading exponents first."""
+    terms = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
+    return "\n".join(f"{coeff}: {','.join(str(e) for e in exps)}" for exps, coeff in terms)
 
 
 def parse_polynomial(text: str) -> Polynomial:

@@ -71,9 +71,6 @@ class InvariantViolationError(RuntimeError):
         self.violations = violations or []
 
 
-_tuple_eq = tuple.__eq__  # bound once: a global read beats the attribute lookup
-
-
 class _Record:
     """Mixin of the immutable records, each a ``namedtuple`` subclass that
     lists this class first among its bases, so that its ``__eq__`` wins.  A
@@ -85,7 +82,7 @@ class _Record:
 
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
-            return _tuple_eq(self, other)
+            return tuple.__eq__(self, other)
         # NotImplemented would let tuple.__eq__ compare a plain tuple as equal.
         return False if isinstance(other, tuple) else NotImplemented
 

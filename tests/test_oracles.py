@@ -18,6 +18,13 @@ oracle, this gives the shifting entries of every column.
 The oracles use only ``bisect``, ``Counter`` and row lists; the kernels
 they check are imported for the comparison alone.
 
+Column oracle for ``phi`` (Lemmas 4.2 and 4.3 applied to its output):
+rectifying the bottom k first-column cells of a composition tableau u moves
+exactly the entries of those k rows one column left, and ``rho_inv`` is
+fixed by the entries of each column.  So ``phi(u, k)`` is ``rho_inv`` of the
+reverse SSYT whose columns hold u's columns after that shift, each sorted
+into decreasing order.  This oracle uses a sort and ``rho_inv`` alone.
+
 Two more checks pit one kernel against another that shares no code with it.
 The entries ``phi`` moves out of each column, read off its trace, are the
 shifting entries that ``eviction`` finds by alignment: insertion against
@@ -29,13 +36,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
+from itertools import chain, zip_longest
 
 import pytest
 
-from ctrect import Filling, evacuate, eviction, phi_steps, rho
+from ctrect import Filling, evacuate, eviction, phi, phi_steps, rho, rho_inv
 from ctrect.ct_rectify import _eviction
-from ctrect.jeu_de_taquin import _rectify_cells
+from ctrect.jeu_de_taquin import _rectify_cells, _slide_out
 from ctrect.polynomials import compositions, enumerate_ct, enumerate_rssyt, partitions
+
+from test_kernels_reference import ELEVEN_CELLS
 
 MAX_CELLS = 6
 MAX_ENTRY = 6
@@ -99,11 +109,62 @@ def test_kernels_match_the_oracles(m):
                 assert _eviction(t, k) == oracle_eviction(t.rows, k), where
 
 
+def column_rule(u: Filling, rows) -> Filling:
+    """The composition tableau whose columns hold u's, after each row listed
+    in ``rows`` (0-based) is shifted one column left, dropping its first
+    entry.  ``rho_inv`` validates the reverse SSYT that the columns, each
+    sorted into decreasing order and top-justified, make up."""
+    shifted = [row[1:] if r in rows else row for r, row in enumerate(u.rows)]
+    width = max(map(len, shifted), default=0)
+    columns = [sorted((row[c] for row in shifted if c < len(row)), reverse=True) for c in range(width)]
+    t = [list(row) for row in zip_longest(*columns)]
+    for row in t:  # a gap in a column stays a hole, which rho_inv rejects
+        while row[-1] is None:
+            row.pop()
+    return rho_inv(Filling(t))
+
+
 def test_oracles_load_no_kernel_module():
     # The oracles' code names no kernel module or kernel function.
-    kernel_names = {"jeu_de_taquin", "ct_rectify", "_rectify_cells", "_eviction", "_slide_out"}
-    for oracle in (oracle_rectify, oracle_eviction, _columns):
+    kernel_names = {
+        "jeu_de_taquin", "ct_rectify", "_rectify_cells", "_eviction", "_slide_out", "_phi", "_insert", "phi",
+    }
+    for oracle in (oracle_rectify, oracle_eviction, _columns, column_rule):
         assert not kernel_names & set(oracle.__code__.co_names), oracle.__name__
+
+
+def test_phi_matches_the_column_rule():
+    every_ct = (u for m in range(1, MAX_CELLS + 1) for shape in compositions(m) for u in enumerate_ct(shape, MAX_ENTRY))
+    cases = 0
+    for u in chain(every_ct, [ELEVEN_CELLS]):
+        for k in range(1, u.n_rows + 1):
+            assert phi(u, k) == column_rule(u, range(u.n_rows - k, u.n_rows)), (u.rows, k)
+            cases += 1
+    assert cases == 19148 + 3  # every (u, k) at 6/6, and ELEVEN_CELLS at k = 1..3
+
+
+def detour(u: Filling, r: int) -> Filling:
+    """Rectify the first-column cell of u's row r (0-based) through reverse
+    SSYT: delete the first-column cell of ``rho(u)`` that holds its entry,
+    slide the hole out, and map back."""
+    entry = u.rows[r][0]
+    grid = [list(row) for row in rho(u).rows]
+    er = next(i for i, row in enumerate(grid) if row[0] == entry)
+    grid[er][0] = None
+    _slide_out(grid, er, entry)
+    return rho_inv(Filling(grid))
+
+
+def test_the_column_rule_needs_bottom_justified_cells():
+    """Why ``phi`` takes only the bottom k first-column cells.  For the top
+    cell of 1 1 / 2, the detour moves no entry across a column: the 1 right
+    of the removed cell stays in column 2.  Shifting the cell's row, as the
+    column rule and phi's steps do, pulls that 1 into column 1 instead.
+    For the bottom cell the two agree with ``phi``."""
+    u = Filling([[1, 1], [2]])
+    assert detour(u, 0) == Filling([[2, 1]])
+    assert column_rule(u, {0}) == Filling([[1], [2]])
+    assert detour(u, 1) == column_rule(u, {1}) == phi(u, 1) == Filling([[1, 1]])
 
 
 def moved_out_by_phi(u: Filling, k: int) -> dict[int, list[int]]:

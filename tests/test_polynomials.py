@@ -434,12 +434,10 @@ class TestPolynomialType:
     def test_zero_coefficients_dropped(self):
         assert Polynomial(2, {(1, 0): 0}) == Polynomial.zero(2)
 
-    def test_add_sub(self):
+    def test_add(self):
         a = Polynomial(2, {(1, 0): 1})
         b = Polynomial(2, {(1, 0): 2, (0, 1): 1})
         assert (a + b).terms == {(1, 0): 3, (0, 1): 1}
-        assert (b - a).terms == {(1, 0): 1, (0, 1): 1}
-        assert a - a == Polynomial.zero(2)
 
     def test_scalar_on_either_side(self):
         # Without __mul__, p * 2 would be the 4-tuple of tuple repetition.
@@ -478,7 +476,9 @@ class TestPolynomialType:
             Polynomial(-3, {})
 
     def test_var_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^variable counts differ: 1 != 2$"):
+            Polynomial(1, {}) + Polynomial(2, {})
+        with pytest.raises(ValueError, match=r"^variable counts differ: 2 != 3$"):
             Polynomial(2, {(1, 0): 1}) + Polynomial(3, {(1, 0, 0): 1})
 
     def test_render_parse_roundtrip(self):

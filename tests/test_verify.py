@@ -174,6 +174,17 @@ def test_schur_identities_enumerates_each_shape_once(monkeypatch):
 INVALID = {"ct": Filling([[2], [1]]), "rssyt": Filling([[1, 2]])}
 
 
+def _counting_pool(started: list[int], **options):
+    """A ProcessPoolExecutor factory with ``options`` that records the
+    worker count of each pool it starts."""
+
+    def pool(max_workers):
+        started.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers, **options)
+
+    return pool
+
+
 @pytest.mark.parametrize(
     "name, kind",
     [
@@ -192,13 +203,17 @@ def test_the_streams_reject_an_invalid_tableau(monkeypatch, name, kind):
     # worker the error reaches the caller as itself.  The planted stream
     # reaches the workers only if they are forked from this process.
     monkeypatch.setitem(verify._ENUMERATE, kind, lambda shape, max_entry: iter([INVALID[kind]]))
+    started: list[int] = []
     fork = multiprocessing.get_context("fork")
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=fork))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _counting_pool(started, mp_context=fork))
+    # Two usable CPUs, so that the jobs=2 half crosses a worker on any host.
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for jobs in (1, 2):
         with pytest.raises(InvalidTableauError) as exc:
             run_property(name, 2, 2, jobs=jobs)
         assert exc.value.kind == kind
         assert exc.value.violations == tableaux.violations(kind, INVALID[kind])
+    assert started == [2]
 
 
 def test_k_range_restriction():
@@ -209,10 +224,15 @@ def test_k_range_restriction():
 
 
 @pytest.mark.parametrize("name", PROPERTY_NAMES)
-def test_jobs_do_not_change_the_report(name):
-    # Each property's work units and their arguments go through the pool.
+def test_jobs_do_not_change_the_report(monkeypatch, name):
+    # Each property's work units and their arguments go through the pool,
+    # which two usable CPUs start on any host.
+    started: list[int] = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _counting_pool(started))
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     serial = run_property(name, 4, 4, jobs=1)
     parallel = run_property(name, 4, 4, jobs=2)
+    assert started == [2]
     assert serial.render() == parallel.render()
     assert serial.instances == parallel.instances
 
@@ -293,7 +313,7 @@ def test_the_pool_gets_the_largest_units_first(monkeypatch, name):
     assert asked == [2]
     units = [(kind, s) for kind in prop.kinds for m in range(1, 5) for s in verify._SHAPES[kind](m)]
     assert sum(submitted[0][1]) == 4
-    assert submitted == sorted(units, key=lambda unit: -sum(unit[1] or ()))
+    assert submitted == sorted(units, key=lambda unit: -sum(unit[1]))
     assert len(serial.counterexamples) >= len(units)
     assert pooled.counterexamples == serial.counterexamples
     assert pooled.render() == serial.render()
