@@ -38,10 +38,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     try:
-        if path == "-":
+        if path != "-":
+            with open(path, "r", encoding="utf-8") as handle:
+                return handle.read()
+        # Stdin's bytes are read as a file's are, strict UTF-8 with universal
+        # newlines: the text layer's encoding and error handler follow the
+        # locale.  A stream with no bytes under it, as io.StringIO, is text.
+        stdin = getattr(sys.stdin, "buffer", None)
+        if stdin is None:
             return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        return stdin.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         source = "stdin" if path == "-" else path
         raise lib.ParseError(f"{source}: not UTF-8 text (byte {exc.start})") from None

@@ -71,6 +71,8 @@ class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
         return cls(nvars, {})
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError(f"variable counts differ: {self.nvars} != {other.nvars}")
         acc = Counter(self.terms)
@@ -78,6 +80,7 @@ class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
         return Polynomial(self.nvars, acc)
 
     def __rmul__(self, scalar: int) -> "Polynomial":
+        _check_int(scalar, "a scalar")
         return Polynomial(self.nvars, {e: scalar * c for e, c in self.terms.items()})
 
     __mul__ = __rmul__
@@ -121,30 +124,26 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(nvars, terms)
 
 
-def _shapes(n: int, partition: bool) -> list[tuple[int, ...]]:
+def partitions(n: int) -> list[PartitionShape]:
+    """All partitions of n, lexicographically ascending."""
     _check_int(n, "n", 0)
-    # Parts first to last, each from 1 up; a partition caps each part at the
-    # one before it.
-    def gen(remaining: int, cap: int) -> list[tuple[int, ...]]:
+    # Parts first to last, each from 1 up to the one before it.
+    def gen(remaining: int, cap: int) -> list[PartitionShape]:
         if remaining == 0:
             return [()]
         return [
             (first,) + rest
             for first in range(1, min(remaining, cap) + 1)
-            for rest in gen(remaining - first, first if partition else n)
+            for rest in gen(remaining - first, first)
         ]
 
     return gen(n, n)
 
 
-def partitions(n: int) -> list[PartitionShape]:
-    """All partitions of n, lexicographically ascending."""
-    return _shapes(n, partition=True)
-
-
 def compositions(n: int) -> list[CompositionShape]:
-    """All compositions of n, lexicographically ascending."""
-    return _shapes(n, partition=False)
+    """All compositions of n, lexicographically ascending: every distinct
+    ordering of the parts of every partition of n."""
+    return sorted(c for p in partitions(n) for c in _rearrangements(p))
 
 
 def _fillings(

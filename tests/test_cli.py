@@ -600,7 +600,25 @@ class TestUnreadableInput:
         code, out, err = run(capsys, "rho")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: stdin: not UTF-8 text (byte 4)\n"
+
+    # Stdin's bytes give what the same bytes in a file give, whatever the
+    # text layer's encoding: the locale's, or latin-1 under
+    # PYTHONIOENCODING, which would read b"\xc3\xa9" as two characters.
+    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+    @pytest.mark.parametrize(
+        "data",
+        [b"2 1\r\n3\r\n", b'{"rows": [1\r\n', "é 1\n".encode()],
+        ids=["crlf-text", "crlf-json", "non-ascii"],
+    )
+    def test_stdin_reads_as_a_file_does(self, capsys, monkeypatch, tmp_path, encoding, data):
+        import io
+
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        expected = run(capsys, "rho", str(path))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding=encoding))
+        assert run(capsys, "rho") == expected
 
     def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"

@@ -446,6 +446,36 @@ class TestPolynomialType:
             assert type(scaled) is Polynomial
             assert scaled == Polynomial(1, {(1,): 2})
 
+    # The scalar follows the coefficients' rule: True * p would be p, and a
+    # float or a Polynomial would fail only as a product coefficient.
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            (lambda p: True * p, "a scalar must be an int, got True"),
+            (lambda p: p * True, "a scalar must be an int, got True"),
+            (lambda p: 2.0 * p, "a scalar must be an int, got 2.0"),
+            (lambda p: p * 2.0, "a scalar must be an int, got 2.0"),
+            (lambda p: p * p, r"a scalar must be an int, got Polynomial\(nvars=1, terms=\{\(1,\): 3\}\)"),
+        ],
+        ids=["bool-left", "bool-right", "float-left", "float-right", "polynomial"],
+    )
+    def test_non_integer_scalar_rejected(self, scale, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scale(Polynomial(1, {(1,): 3}))
+
+    @pytest.mark.parametrize(
+        "add, message",
+        [
+            (lambda p: p + 1, "unsupported operand type(s) for +: 'Polynomial' and 'int'"),
+            (lambda p: 1 + p, "unsupported operand type(s) for +: 'int' and 'Polynomial'"),
+        ],
+        ids=["right", "left"],
+    )
+    def test_adding_a_non_polynomial_is_a_type_error(self, add, message):
+        with pytest.raises(TypeError) as exc:
+            add(Polynomial(1, {(1,): 3}))
+        assert str(exc.value) == message
+
     # Filling's rule for its slots: an int, and not a bool, which would
     # otherwise render as "True: 1,0".
     @pytest.mark.parametrize(

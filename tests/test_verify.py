@@ -14,6 +14,8 @@ from ctrect import polynomials, run_property, tableaux, verify
 from ctrect.verify import PROPERTY_NAMES, Counterexample, VerifyReport, brief
 from ctrect import Filling, InvalidTableauError
 
+from test_polynomials import _brute_force_shapes, _hook_content_count
+
 
 ALL_GREEN_BOUNDS = (4, 4)
 
@@ -30,6 +32,27 @@ def test_instance_counts_pinned():
     assert run_property("roundtrip", 4, 4).instances == 360
     assert run_property("commutativity", 4, 4).instances == 312
     assert run_property("dominance", 4, 4).instances == 180
+
+
+def _counted_instances(name: str, max_cells: int, max_entry: int) -> int:
+    """A property's instance count from the hook-content formula, which
+    shares no code with the enumerators: s_lam(1^E) tableaux of each shape
+    lam of each kind, and one instance per k in 1..rows for a property that
+    takes k; schur-identities checks 4 fixed identities and E + 1 per shape."""
+    shapes = [lam for m in range(1, max_cells + 1) for lam in _brute_force_shapes(m, partition=True)]
+    if name == "schur-identities":
+        return 4 + (max_entry + 1) * len(shapes)
+    prop = verify.PROPERTIES[name]
+    per_shape = (len(lam) if prop.takes_k else 1 for lam in shapes)
+    return len(prop.kinds) * sum(n * _hook_content_count(lam, max_entry) for n, lam in zip(per_shape, shapes))
+
+
+# The pinned counts above and the goldens all have max-entry = max-cells; an
+# enumerator that dropped tableaux only where the two differ would pass them.
+@pytest.mark.parametrize("bounds", [(6, 3), (7, 2), (4, 7)], ids=["6x3", "7x2", "4x7"])
+@pytest.mark.parametrize("name", PROPERTY_NAMES)
+def test_instance_counts_match_the_hook_content_formula(name, bounds):
+    assert run_property(name, *bounds, jobs=1).instances == _counted_instances(name, *bounds)
 
 
 def test_dominance_reports_a_path_that_disagrees_with_the_trace(monkeypatch):
