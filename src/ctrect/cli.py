@@ -44,6 +44,8 @@ def _read_text(path: str) -> str:
         # Stdin's bytes are read as a file's are, strict UTF-8 with universal
         # newlines: the text layer's encoding and error handler follow the
         # locale.  A stream with no bytes under it, as io.StringIO, is text.
+        if sys.stdin is None:  # closed at start-up
+            raise lib.ParseError("stdin: closed")
         stdin = getattr(sys.stdin, "buffer", None)
         if stdin is None:
             return sys.stdin.read()
@@ -251,6 +253,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         status = args.func(args)
+        if sys.stdout is None:  # closed at start-up: the output went nowhere
+            return EX_BROKEN_PIPE
         sys.stdout.flush()  # so that a closed stdout shows here, not at exit
         return status
     except BrokenPipeError:

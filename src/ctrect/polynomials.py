@@ -79,6 +79,11 @@ class Polynomial(_Record, namedtuple("Polynomial", "nvars terms")):
         acc.update(other.terms)
         return Polynomial(self.nvars, acc)
 
+    def __radd__(self, other):
+        # Raised, not NotImplemented: for a tuple on the left Python would
+        # then fall back to tuple concatenation.
+        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and 'Polynomial'")
+
     def __rmul__(self, scalar: int) -> "Polynomial":
         _check_int(scalar, "a scalar")
         return Polynomial(self.nvars, {e: scalar * c for e, c in self.terms.items()})

@@ -123,35 +123,30 @@ def _format_report(report: dict[int, list[int]]) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-# A property reads one work unit per shape of 1 to max_cells cells of each
-# of its ``kinds``, in order; ``fixed``, the identities in 3 variables, is
-# one unit.  ``_subjects`` lists what a unit checks: each subject with its
-# cases, one instance per case.  A tableau's cases are its k to rectify when
-# the property ``takes_k``, else ``_ONCE``; a ``schur`` shape's are its weight
-# sums in 1 to max_entry variables and the symmetry of its Schur polynomial.
-# A ``check`` takes the unit's kind, a subject and its cases, and yields
-# (instance, expected, actual) for each failing case; counting, collecting
-# and errors are left to the driver, ``_check_unit``.  The tableaux are
-# streamed: none is kept past its check.  The stream validates each one, so
-# the checkers call only the trusted kernels, and every tableau a kernel
-# produces is checked once, as its output.
+# A property reads one work unit per shape of 1 to max_cells cells of each of
+# its ``kinds``, ``ct``, ``rssyt`` or ``schur``, in order; the empty ``schur``
+# shape, first of one cell, is the 4 identities in 3 variables.  ``_subjects``
+# lists what a unit checks: each subject with its cases, one instance per
+# case.  A tableau's cases are its k to rectify in ``ks``, 1..1 for a property
+# that takes no k; a ``schur`` shape's are its weight sums in 1 to max_entry
+# variables and its Schur symmetry.  A ``check`` takes the unit's kind, a
+# subject and its cases, and yields (instance, expected, actual) for each
+# failing case; counting, collecting and errors are left to the driver,
+# ``_check_unit``.  The tableaux are streamed: none is kept past its check.
+# The stream validates each one, so the checkers call only the trusted
+# kernels, and every tableau a kernel produces is checked once, as its output.
 
-_SHAPES = {
-    "fixed": lambda m: [()] if m == 1 else [], "ct": compositions, "rssyt": partitions, "schur": partitions
-}
+_SHAPES = {"ct": compositions, "rssyt": partitions, "schur": lambda m: [()] * (m == 1) + partitions(m)}
 _ENUMERATE = {"ct": _ct_fillings, "rssyt": _rssyt_fillings}
-_ONCE = (None,)
 
 
-def _subjects(unit: tuple, max_entry: int, k_range: tuple[int, int] | None) -> Iterator:
+def _subjects(unit: tuple, max_entry: int, ks: tuple[int, int]) -> Iterator:
     kind, shape = unit
-    if kind == "fixed":
-        yield None, range(4)
-    elif kind == "schur":
-        yield (shape, max_entry), range(max_entry + 1)
+    if kind == "schur":
+        yield (shape, max_entry), range(max_entry + 1 if shape else 4)
     else:
         for x in _ENUMERATE[kind](shape, max_entry):
-            cases = _ONCE if k_range is None else range(k_range[0], min(k_range[1], x.n_rows) + 1)
+            cases = range(ks[0], min(ks[1], x.n_rows) + 1)
             if cases:
                 yield validate(kind, x), cases
 
@@ -239,8 +234,9 @@ def _check_dominance(_kind: str, t: Filling, _cases) -> Iterator[tuple[str, str,
         )
 
 
-def _check_schur(kind: str, subject, _cases) -> Iterator[tuple[str, str, str]]:
-    if kind == "fixed":
+def _check_schur(_kind: str, subject, _cases) -> Iterator[tuple[str, str, str]]:
+    shape, max_entry = subject
+    if not shape:
         s21 = schur_expand((2, 1), 3)
         m21 = monomial_sym_expand((2, 1), 3)
         m111 = monomial_sym_expand((1, 1, 1), 3)
@@ -258,7 +254,6 @@ def _check_schur(kind: str, subject, _cases) -> Iterator[tuple[str, str, str]]:
                 yield label, "identity holds", "identity fails"
         return
 
-    shape, max_entry = subject
     s = schur_expand(shape, max_entry)
     weights = Counter(
         _weight_monomial(u, max_entry) for comp in _rearrangements(shape) for u in _ct_fillings(comp, max_entry)
@@ -293,20 +288,33 @@ PROPERTIES: dict[str, _Property] = {
     "lemma42": _Property(("rssyt",), True, _check_lemma42),
     "lemma43": _Property(("rssyt",), True, _check_lemma43),
     "dominance": _Property(("rssyt",), False, _check_dominance),
-    "schur-identities": _Property(("fixed", "schur"), False, _check_schur),
+    "schur-identities": _Property(("schur",), False, _check_schur),
 }
 
 PROPERTY_NAMES = tuple(PROPERTIES)
 
 
-def _check_unit(check, unit: tuple, max_entry: int, k_range: tuple | None) -> tuple[int, list[Counterexample]]:
+def _ssyt_count(shape: tuple[int, ...], max_entry: int) -> int:
+    # s_shape(1^max_entry), the number of tableaux of the shape with entries
+    # in 1..max_entry, from the hook-content formula (Stanley, EC2, 7.21.2):
+    # the product over cells of (max_entry + column - row) / hook length.
+    heights = [sum(part > j for part in shape) for j in range(shape[0])]
+    top = bottom = 1
+    for i, part in enumerate(shape):
+        for j in range(part):
+            top *= max_entry + j - i
+            bottom *= part - j + heights[j] - i - 1
+    return top // bottom
+
+
+def _check_unit(check, unit: tuple, max_entry: int, ks: tuple[int, int]) -> tuple[int, list[Counterexample]]:
     # The driver: one property's check over one work unit.  An
     # InvariantViolationError while checking a subject becomes that
     # subject's counterexample, its cases still count as instances, and the
     # sweep goes on.
     count = 0
     ces: list[Counterexample] = []
-    for subject, cases in _subjects(unit, max_entry, k_range):
+    for subject, cases in _subjects(unit, max_entry, ks):
         count += len(cases)
         try:
             for failure in check(unit[0], subject, cases):
@@ -327,12 +335,16 @@ def run_property(
 
     ``jobs`` (default: one per usable CPU) is an upper bound on worker
     processes: at most one per usable CPU and one per work unit are started,
-    and a single worker runs in-process.
+    and a single worker runs in-process.  An instance count per kind and
+    sorted shape other than the hook-content formula's raises
+    ``InvariantViolationError``.
     """
     if name not in PROPERTIES:
         raise ValueError(f"unknown property {name!r}; choose from {', '.join(PROPERTY_NAMES)}")
     _check_int(max_cells, "max_cells", 1)
     _check_int(max_entry, "max_entry", 1)
+    if k_range is not None and (not isinstance(k_range, (tuple, list)) or len(k_range) != 2):
+        raise ValueError(f"k_range must be None or two ints, got {k_range!r}")
     for end in k_range or ():
         _check_int(end, "a k_range end")
     if k_range is not None and not 1 <= k_range[0] <= k_range[1]:
@@ -350,7 +362,7 @@ def run_property(
         )
     if jobs is not None:
         _check_int(jobs, "jobs", 1)
-    ks = (k_range or (1, max_cells)) if prop.takes_k else None
+    ks = (k_range or (1, max_cells)) if prop.takes_k else (1, 1)
     units = [(kind, s) for kind in prop.kinds for m in range(1, max_cells + 1) for s in _SHAPES[kind](m)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(jobs or cpus, cpus, len(units))
@@ -373,6 +385,17 @@ def run_property(
             pool.shutdown(cancel_futures=True)
     else:
         results = [_check_unit(prop.check, unit, max_entry, ks) for unit in units]
+    # Each kind's count per sorted shape is checked against s_lam(1^E): rho
+    # maps the composition tableaux of every ordering of lam's parts one to
+    # one onto the reverse SSYT of shape lam.
+    counts: Counter = Counter()
+    for (kind, shape), (count, _) in zip(units, results):
+        if kind != "schur":
+            counts[kind, tuple(sorted(shape, reverse=True))] += count
+    for (kind, lam), count in counts.items():
+        expected = _ssyt_count(lam, max_entry) * len(range(ks[0], min(ks[1], len(lam)) + 1))
+        if count != expected:
+            raise InvariantViolationError(f"{kind} tableaux of shape {lam}: {count} instances, expected {expected}")
     instances = sum(count for count, _ in results)
     counterexamples = [ce for _, ces in results for ce in ces]
     return VerifyReport(

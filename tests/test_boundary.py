@@ -197,6 +197,14 @@ ARGUMENT_RULE = [
         "bad k_range 0..2: expected A..B with 1 <= A <= B",
         "k_range-below",
     ),
+    _rule(lambda: run_property("lemma41", 2, 2, k_range=()), "k_range must be None or two ints, got ()", "k_range-empty"),
+    _rule(lambda: run_property("lemma41", 2, 2, k_range=(1,)), "k_range must be None or two ints, got (1,)", "k_range-one"),
+    _rule(
+        lambda: run_property("lemma41", 2, 2, k_range=(1, 2, 3)),
+        "k_range must be None or two ints, got (1, 2, 3)",
+        "k_range-three",
+    ),
+    _rule(lambda: run_property("lemma41", 2, 2, k_range=5), "k_range must be None or two ints, got 5", "k_range-int"),
     _rule(lambda: run_property("roundtrip", 2, 2, jobs=True), "jobs must be an int, got True", "jobs-bool"),
     _rule(lambda: run_property("roundtrip", 2, 2, jobs=2.0), "jobs must be an int, got 2.0", "jobs-float"),
     _rule(lambda: run_property("roundtrip", 2, 2, jobs=0), "jobs must be at least 1, got 0", "jobs-below"),
@@ -227,6 +235,10 @@ def test_the_bounds_themselves_are_allowed():
     assert Polynomial(0, {(): 3}).terms == {(): 3}
     assert schur_expand((1,), 1) == Polynomial(1, {(1,): 1})
     assert is_diagonally_dominant(Filling([[3, 2], [1]]), 1, 2) is True
+
+
+def test_a_k_range_list_runs_as_its_tuple():
+    assert run_property("lemma41", 2, 2, k_range=[1, 2]).render() == run_property("lemma41", 2, 2, k_range=(1, 2)).render()
 
 
 @pytest.mark.parametrize(

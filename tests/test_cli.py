@@ -365,6 +365,20 @@ class TestVerify:
         )
         assert err.startswith("time: ")
 
+    def test_a_count_mismatch_exits_1_with_no_report(self, capsys, monkeypatch):
+        from itertools import islice
+
+        from ctrect import verify
+
+        real = verify._ENUMERATE["rssyt"]
+        monkeypatch.setitem(verify._ENUMERATE, "rssyt", lambda shape, e: islice(real(shape, e), shape == (2, 1), None))
+        code, out, err = run(
+            capsys,
+            "verify", "--property", "lemma42", "--max-cells", "4", "--max-entry", "4", "--jobs", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "counterexample: rssyt tableaux of shape (2, 1): 38 instances, expected 40\n"
+
     def test_stdout_deterministic_across_jobs(self, capsys):
         argv = ["verify", "--property", "lemma43", "--max-cells", "4", "--max-entry", "3"]
         _, out1, _ = run(capsys, *argv)
@@ -577,6 +591,28 @@ class TestUsageErrors:
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (141, b"")
+
+    # A descriptor closed at start-up leaves its sys stream None: stdin is
+    # then input that cannot be read, stdout output that went nowhere.
+    def test_closed_stdin_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)
+        assert run(capsys, "rho") == (2, "", "error: stdin: closed\n")
+
+    def test_closed_stdout_at_start_up_exits_141_quietly(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        code = main(["rho", fx("ct_u.txt")])
+        monkeypatch.undo()
+        assert (code, capsys.readouterr().err) == (141, "")
+
+    @pytest.mark.parametrize(
+        "redirect, status, stderr",
+        [("<&-", 2, b"error: stdin: closed\n"), (f"{fx('ct_u.txt')} >&-", 141, b"")],
+        ids=["stdin", "stdout"],
+    )
+    def test_closed_stream_from_a_shell(self, redirect, status, stderr):
+        command = " ".join([*CLI, "rho"]) + f" {redirect}"
+        done = subprocess.run(["sh", "-c", command], env=cli_env(), capture_output=True, timeout=60)
+        assert (done.returncode, done.stderr) == (status, stderr)
 
 
 class TestUnreadableInput:

@@ -476,6 +476,18 @@ class TestPolynomialType:
             add(Polynomial(1, {(1,): 3}))
         assert str(exc.value) == message
 
+    # A Polynomial is a tuple, so a tuple on the left would concatenate.
+    @pytest.mark.parametrize("left", [(1, 2), ()], ids=["pair", "empty"])
+    def test_adding_to_a_tuple_is_a_type_error(self, left):
+        with pytest.raises(TypeError) as exc:
+            left + Polynomial(1, {(1,): 3})
+        assert str(exc.value) == "unsupported operand type(s) for +: 'tuple' and 'Polynomial'"
+
+    def test_polynomials_still_add(self):
+        p, q = Polynomial(1, {(1,): 3}), Polynomial(1, {(1,): 1, (0,): 2})
+        assert p + q == Polynomial(1, {(1,): 4, (0,): 2})
+        assert sum([p, q], Polynomial.zero(1)) == p + q
+
     # Filling's rule for its slots: an int, and not a bool, which would
     # otherwise render as "True: 1,0".
     @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import pytest
 
 from ctrect import polynomials, run_property, tableaux, verify
 from ctrect.verify import PROPERTY_NAMES, Counterexample, VerifyReport, brief
-from ctrect import Filling, InvalidTableauError
+from ctrect import Filling, InvalidTableauError, InvariantViolationError
 
 from test_polynomials import _brute_force_shapes, _hook_content_count
 
@@ -53,6 +53,19 @@ def _counted_instances(name: str, max_cells: int, max_entry: int) -> int:
 @pytest.mark.parametrize("name", PROPERTY_NAMES)
 def test_instance_counts_match_the_hook_content_formula(name, bounds):
     assert run_property(name, *bounds, jobs=1).instances == _counted_instances(name, *bounds)
+
+
+# An enumerator that skips a tableau leaves every check green over fewer
+# instances; the count per sorted shape, against s_lam(1^E), catches it.
+@pytest.mark.parametrize("name, kind", [("lemma42", "rssyt"), ("commutativity", "ct")])
+def test_a_dropped_tableau_fails_the_count(monkeypatch, name, kind):
+    real = verify._ENUMERATE[kind]
+    monkeypatch.setitem(
+        verify._ENUMERATE, kind, lambda shape, e: islice(real(shape, e), shape == (2, 1), None)
+    )
+    with pytest.raises(InvariantViolationError) as exc:
+        run_property(name, 4, 4, jobs=1)
+    assert str(exc.value) == f"{kind} tableaux of shape (2, 1): 38 instances, expected 40"
 
 
 def test_dominance_reports_a_path_that_disagrees_with_the_trace(monkeypatch):
