@@ -24,6 +24,15 @@ EX_USAGE = 64
 EX_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
+def _warn(line: object) -> None:
+    # Stderr is None if closed at start-up (print would pick stdout), and is
+    # dropped once a write fails, so that the flush at exit keeps the status.
+    try:
+        sys.stderr.write(f"{line}\n")
+    except (AttributeError, OSError):
+        sys.stderr = None
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -32,8 +41,8 @@ class _Parser(argparse.ArgumentParser):
         self.register("type", int, lib.parse_int)
 
     def error(self, message: str):  # argparse defaults to exit code 2
-        self.print_usage(sys.stderr)
-        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+        _warn(f"{self.format_usage()}{self.prog}: error: {message}")
+        self.exit(EX_USAGE)
 
 
 def _read_text(path: str) -> str:
@@ -130,7 +139,7 @@ def _cmd_rectify(args) -> int:
         _emit_tableau(result, args.json)
         report = lib.shifting_entries(traces)
         for c in sorted(report):
-            print(f"shift column {c}: {' '.join(str(e) for e in report[c])}", file=sys.stderr)
+            _warn(f"shift column {c}: {' '.join(str(e) for e in report[c])}")
     return EX_OK
 
 
@@ -181,7 +190,7 @@ def _cmd_verify(args) -> int:
             os.remove(args.out)
         raise
     print(report.render())
-    print(f"time: {report.seconds:.2f}s", file=sys.stderr)
+    _warn(f"time: {report.seconds:.2f}s")
     if args.out:
         import json
 
@@ -266,17 +275,16 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return EX_BROKEN_PIPE
     except (lib.ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return EX_INVALID_INPUT
     except lib.InvalidTableauError as exc:
-        for v in exc.violations:
-            print(v, file=sys.stderr)
+        _warn("\n".join(map(str, exc.violations)))
         return EX_INVALID_INPUT
     except lib.InvariantViolationError as exc:
-        print(f"counterexample: {exc}", file=sys.stderr)
+        _warn(f"counterexample: {exc}")
         return EX_COUNTEREXAMPLE
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return EX_USAGE
 
 

@@ -24,10 +24,10 @@ contract:
 returned differ: equal lists sort equal, so the verdict and the report are
 those of comparing sorted lists throughout.
 
-Instance order is fixed (shapes by total cells then lexicographically,
-fillings by row-reading word), so reports are deterministic; ``jobs`` only
-splits the work units across processes (by default one per usable CPU) and
-never changes the output.
+Instance order is fixed (partitions by total cells then lexicographically,
+each one's orderings of its parts lexicographically, fillings by row-reading
+word), so reports are deterministic; ``jobs`` only splits the work units
+across processes (by default one per usable CPU) and never changes the output.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .polynomials import (
     _rearrangements,
     _rssyt_fillings,
     _weight_monomial,
-    compositions,
     monomial_qsym_expand,
     monomial_sym_expand,
     is_quasisymmetric,
@@ -123,32 +122,26 @@ def _format_report(report: dict[int, list[int]]) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-# A property reads one work unit per shape of 1 to max_cells cells of each of
-# its ``kinds``, ``ct``, ``rssyt`` or ``schur``, in order; the empty ``schur``
-# shape, first of one cell, is the 4 identities in 3 variables.  ``_subjects``
-# lists what a unit checks: each subject with its cases, one instance per
-# case.  A tableau's cases are its k to rectify in ``ks``, 1..1 for a property
-# that takes no k; a ``schur`` shape's are its weight sums in 1 to max_entry
-# variables and its Schur symmetry.  A ``check`` takes the unit's kind, a
-# subject and its cases, and yields (instance, expected, actual) for each
-# failing case; counting, collecting and errors are left to the driver,
-# ``_check_unit``.  The tableaux are streamed: none is kept past its check.
-# The stream validates each one, so the checkers call only the trusted
-# kernels, and every tableau a kernel produces is checked once, as its output.
-
-_SHAPES = {"ct": compositions, "rssyt": partitions, "schur": lambda m: [()] * (m == 1) + partitions(m)}
-_ENUMERATE = {"ct": _ct_fillings, "rssyt": _rssyt_fillings}
+# A property reads one work unit per partition lam of 0 to max_cells cells
+# for each of its ``kinds``, in order.  An ``rssyt`` unit streams the reverse
+# SSYT of shape lam, a ``ct`` unit the composition tableaux of every ordering
+# of lam's parts, which rho maps one to one onto them: s_lam(1^E) tableaux of
+# len(lam) rows, E = max_entry.  So a unit fixes its tableaux's cases, their k
+# in ``ks`` (1..1 if a property takes no k), and is not opened if it has none
+# or lam has more than E rows.  A ``schur`` unit's one subject is lam's weight
+# sums in 1 to E variables and Schur symmetry, or for lam = () 4 identities in
+# 3 variables.  A ``check`` takes the kind, a subject and its cases, and
+# yields (instance, expected, actual) per failing case.  The driver,
+# ``_check_unit``, streams, validates (so checkers call only trusted kernels,
+# whose outputs are each checked once), counts and collects; nothing is kept.
 
 
-def _subjects(unit: tuple, max_entry: int, ks: tuple[int, int]) -> Iterator:
-    kind, shape = unit
-    if kind == "schur":
-        yield (shape, max_entry), range(max_entry + 1 if shape else 4)
-    else:
-        for x in _ENUMERATE[kind](shape, max_entry):
-            cases = range(ks[0], min(ks[1], x.n_rows) + 1)
-            if cases:
-                yield validate(kind, x), cases
+def _ct_orderings(shape: tuple[int, ...], max_entry: int) -> Iterator[Filling]:
+    for composition in _rearrangements(shape):
+        yield from _ct_fillings(composition, max_entry)
+
+
+_ENUMERATE = {"ct": _ct_orderings, "rssyt": _rssyt_fillings}
 
 
 def _check_roundtrip(kind: str, x: Filling, _cases) -> Iterator[tuple[str, str, str]]:
@@ -255,9 +248,7 @@ def _check_schur(_kind: str, subject, _cases) -> Iterator[tuple[str, str, str]]:
         return
 
     s = schur_expand(shape, max_entry)
-    weights = Counter(
-        _weight_monomial(u, max_entry) for comp in _rearrangements(shape) for u in _ct_fillings(comp, max_entry)
-    )
+    weights = Counter(_weight_monomial(u, max_entry) for u in _ENUMERATE["ct"](shape, max_entry))
     # Each term of s is a reverse-SSYT weight, reversed.  A tableau has its
     # entries <= n exactly when its weight is 0 past n, so the two sums in n
     # variables agree when the difference is 0 at each such weight.
@@ -309,18 +300,29 @@ def _ssyt_count(shape: tuple[int, ...], max_entry: int) -> int:
 
 def _check_unit(check, unit: tuple, max_entry: int, ks: tuple[int, int]) -> tuple[int, list[Counterexample]]:
     # The driver: one property's check over one work unit.  An
-    # InvariantViolationError while checking a subject becomes that
-    # subject's counterexample, its cases still count as instances, and the
-    # sweep goes on.
+    # InvariantViolationError while checking a subject becomes that subject's
+    # counterexample, its cases still count as instances, and the sweep goes
+    # on; a unit that does not hold s_lam(1^E) tableaux raises one.
+    kind, shape = unit
+    if kind == "schur":
+        subjects = [(shape, max_entry)]
+        cases = range(max_entry + 1 if shape else 4)
+        expected = len(cases)
+    else:
+        subjects = (validate(kind, x) for x in _ENUMERATE[kind](shape, max_entry))
+        cases = range(ks[0], min(ks[1], len(shape)) + 1)
+        expected = _ssyt_count(shape, max_entry) * len(cases)
     count = 0
     ces: list[Counterexample] = []
-    for subject, cases in _subjects(unit, max_entry, ks):
+    for subject in subjects:
         count += len(cases)
         try:
-            for failure in check(unit[0], subject, cases):
+            for failure in check(kind, subject, cases):
                 ces.append(Counterexample(*failure))
         except InvariantViolationError as exc:
             ces.append(Counterexample(brief(subject), "no invariant violation", f"error: {exc}"))
+    if count != expected:
+        raise InvariantViolationError(f"{kind} tableaux of shape {shape}: {count} instances, expected {expected}")
     return count, ces
 
 
@@ -335,9 +337,8 @@ def run_property(
 
     ``jobs`` (default: one per usable CPU) is an upper bound on worker
     processes: at most one per usable CPU and one per work unit are started,
-    and a single worker runs in-process.  An instance count per kind and
-    sorted shape other than the hook-content formula's raises
-    ``InvariantViolationError``.
+    and a single worker runs in-process.  A work unit whose instance count
+    is not the hook-content formula's raises ``InvariantViolationError``.
     """
     if name not in PROPERTIES:
         raise ValueError(f"unknown property {name!r}; choose from {', '.join(PROPERTY_NAMES)}")
@@ -353,17 +354,18 @@ def run_property(
     if k_range is not None and not prop.takes_k:
         takes_k = ", ".join(n for n, p in PROPERTIES.items() if p.takes_k)
         raise ValueError(f"property {name!r} takes no k range; only {takes_k} do")
-    # A tableau's first column is strictly monotone in 1..max_entry, so it
-    # has at most min(max_cells, max_entry) rows, and one column has that many.
-    if k_range is not None and k_range[0] > (rows := min(max_cells, max_entry)):
+    ks = (k_range or (1, max_cells)) if prop.takes_k else (1, 1)
+    shapes = [lam for m in range(max_cells + 1) for lam in partitions(m)]
+    units = [
+        (kind, lam) for kind in prop.kinds for lam in shapes if kind == "schur" or ks[0] <= len(lam) <= max_entry
+    ]
+    if not units:  # a k range past min(max_cells, max_entry), the most rows
         raise ValueError(
-            f"k range {k_range[0]}..{k_range[1]} takes no tableau within max-cells={max_cells}"
-            f" max-entry={max_entry}: none has more than {rows} rows"
+            f"k range {ks[0]}..{ks[1]} takes no tableau within max-cells={max_cells}"
+            f" max-entry={max_entry}: none has more than {min(max_cells, max_entry)} rows"
         )
     if jobs is not None:
         _check_int(jobs, "jobs", 1)
-    ks = (k_range or (1, max_cells)) if prop.takes_k else (1, 1)
-    units = [(kind, s) for kind in prop.kinds for m in range(1, max_cells + 1) for s in _SHAPES[kind](m)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(jobs or cpus, cpus, len(units))
     started = time.perf_counter()
@@ -385,17 +387,6 @@ def run_property(
             pool.shutdown(cancel_futures=True)
     else:
         results = [_check_unit(prop.check, unit, max_entry, ks) for unit in units]
-    # Each kind's count per sorted shape is checked against s_lam(1^E): rho
-    # maps the composition tableaux of every ordering of lam's parts one to
-    # one onto the reverse SSYT of shape lam.
-    counts: Counter = Counter()
-    for (kind, shape), (count, _) in zip(units, results):
-        if kind != "schur":
-            counts[kind, tuple(sorted(shape, reverse=True))] += count
-    for (kind, lam), count in counts.items():
-        expected = _ssyt_count(lam, max_entry) * len(range(ks[0], min(ks[1], len(lam)) + 1))
-        if count != expected:
-            raise InvariantViolationError(f"{kind} tableaux of shape {lam}: {count} instances, expected {expected}")
     instances = sum(count for count, _ in results)
     counterexamples = [ce for _, ces in results for ce in ces]
     return VerifyReport(

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -613,6 +615,52 @@ class TestUsageErrors:
         command = " ".join([*CLI, "rho"]) + f" {redirect}"
         done = subprocess.run(["sh", "-c", command], env=cli_env(), capture_output=True, timeout=60)
         assert (done.returncode, done.stderr) == (status, stderr)
+
+    # Stderr closed (None in the process) or open only for reading, so that
+    # each write raises OSError: the exit code is the one an open stderr
+    # gets, and stdout holds only the output.
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+    @pytest.mark.parametrize(
+        "args, stdin, status",
+        [
+            ("rho /no/such", b"", 2),
+            ("rho", b"1 2\n3\n", 2),
+            ("rho --bogus", b"", 64),
+            ("check-qsym", b"1: 2,0\n", 1),
+            (f"rectify --kind rssyt --cells 1 {fx('rssyt_t.txt')}", b"", 0),
+        ],
+        ids=["missing-file", "invalid-tableau", "usage", "counterexample", "stderr-lines"],
+    )
+    def test_closed_stderr_from_a_shell(self, redirect, args, stdin, status):
+        command = " ".join([*CLI, args])
+        shell = partial(subprocess.run, input=stdin, env=cli_env(), capture_output=True, timeout=60)
+        with_stderr = shell(["sh", "-c", command])
+        done = shell(["sh", "-c", f"{command} {redirect}"])
+        assert with_stderr.returncode == status
+        assert (done.returncode, done.stdout, done.stderr) == (status, with_stderr.stdout, b"")
+
+    @pytest.mark.parametrize("stderr", [None, "unwritable"])
+    def test_closed_stderr_raises_nothing_out_of_main(self, capsys, monkeypatch, stderr):
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise OSError(9, "Bad file descriptor")
+
+        def broken(kind, f, what):
+            raise ctrect.InvariantViolationError(f"{what}: planted")
+
+        monkeypatch.setattr("ctrect.ct_rectify.check_invariant", broken)
+        codes = []
+        for argv in [
+            ["rho", "/no/such"],
+            ["rectify", "--kind", "ct", "--cells", "1", fx("ct_phi1_input.txt")],
+            ["rectify", "--kind", "rssyt", "--cells", "1", fx("rssyt_t.txt")],
+        ]:
+            # A failed write drops the stream, so each call starts with one.
+            monkeypatch.setattr(sys, "stderr", stderr and Unwritable())
+            codes.append(main(argv))
+        monkeypatch.undo()
+        assert codes == [2, 1, 0]
+        assert capsys.readouterr().out == (FIXTURES / "rssyt_t_rectified.txt").read_text()
 
 
 class TestUnreadableInput:

@@ -34,17 +34,27 @@ def test_instance_counts_pinned():
     assert run_property("dominance", 4, 4).instances == 180
 
 
-def _counted_instances(name: str, max_cells: int, max_entry: int) -> int:
-    """A property's instance count from the hook-content formula, which
-    shares no code with the enumerators: s_lam(1^E) tableaux of each shape
-    lam of each kind, and one instance per k in 1..rows for a property that
-    takes k; schur-identities checks 4 fixed identities and E + 1 per shape."""
+def _unit_counts(name: str, max_cells: int, max_entry: int) -> list[tuple[tuple, int]]:
+    """A property's work units, in order, each with its instance count from
+    the hook-content formula, which shares no code with the enumerators:
+    s_lam(1^E) tableaux of each partition lam of each kind, and one instance
+    per k in 1..rows for a property that takes k; no unit where lam has more
+    than E rows, which holds no tableau.  schur-identities checks 4 fixed
+    identities and E + 1 per partition."""
     shapes = [lam for m in range(1, max_cells + 1) for lam in _brute_force_shapes(m, partition=True)]
     if name == "schur-identities":
-        return 4 + (max_entry + 1) * len(shapes)
+        return [(("schur", ()), 4)] + [(("schur", lam), max_entry + 1) for lam in shapes]
     prop = verify.PROPERTIES[name]
-    per_shape = (len(lam) if prop.takes_k else 1 for lam in shapes)
-    return len(prop.kinds) * sum(n * _hook_content_count(lam, max_entry) for n, lam in zip(per_shape, shapes))
+    return [
+        ((kind, lam), _hook_content_count(lam, max_entry) * (len(lam) if prop.takes_k else 1))
+        for kind in prop.kinds
+        for lam in shapes
+        if len(lam) <= max_entry
+    ]
+
+
+def _counted_instances(name: str, max_cells: int, max_entry: int) -> int:
+    return sum(count for _, count in _unit_counts(name, max_cells, max_entry))
 
 
 # The pinned counts above and the goldens all have max-entry = max-cells; an
@@ -66,6 +76,64 @@ def test_a_dropped_tableau_fails_the_count(monkeypatch, name, kind):
     with pytest.raises(InvariantViolationError) as exc:
         run_property(name, 4, 4, jobs=1)
     assert str(exc.value) == f"{kind} tableaux of shape (2, 1): 38 instances, expected 40"
+
+
+# Beyond the goldens (max-entry = max-cells, where every unit holds a
+# tableau): the units and each one's count, and the pooled report.
+@pytest.mark.parametrize("bounds", [(9, 3), (8, 2)], ids=["9x3", "8x2"])
+@pytest.mark.parametrize("name", PROPERTY_NAMES)
+def test_each_unit_holds_its_hook_content_count(monkeypatch, name, bounds):
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pooled = run_property(name, *bounds, jobs=2)
+    # Recorded in-process; the pool above must get the unpatched driver.
+    counted = []
+    real = verify._check_unit
+
+    def recording(check, unit, max_entry, ks):
+        count, ces = real(check, unit, max_entry, ks)
+        counted.append((unit, count))
+        return count, ces
+
+    monkeypatch.setattr(verify, "_check_unit", recording)
+    serial = run_property(name, *bounds, jobs=1)
+    assert serial.render() == pooled.render()
+    assert counted == _unit_counts(name, *bounds)
+
+
+def _counting_streams(monkeypatch) -> list[tuple[str, tuple]]:
+    """Records, in-process, the kind and shape of each composition-tableau
+    and reverse-SSYT stream a sweep opens."""
+    opened = []
+
+    def counting(kind, real):
+        def wrapped(shape, max_entry):
+            opened.append((kind, shape))
+            return real(shape, max_entry)
+
+        return wrapped
+
+    monkeypatch.setattr(verify, "_ct_fillings", counting("ct", verify._ct_fillings))
+    monkeypatch.setitem(verify._ENUMERATE, "rssyt", counting("rssyt", verify._ENUMERATE["rssyt"]))
+    return opened
+
+
+def test_no_unit_opened_past_max_entry_rows(monkeypatch):
+    # With entries <= 1 a tableau has one row: one stream per kind for each
+    # of the 16 one-row shapes, not one per composition of up to 16 cells.
+    opened = _counting_streams(monkeypatch)
+    report = run_property("roundtrip", 16, 1, jobs=1)
+    assert (report.instances, report.ok) == (32, True)
+    assert opened == [(kind, (m,)) for kind in ("ct", "rssyt") for m in range(1, 17)]
+
+
+def test_no_unit_opened_below_the_smallest_k(monkeypatch):
+    opened = _counting_streams(monkeypatch)
+    report = run_property("commutativity", 5, 5, k_range=(3, 3), jobs=1)
+    assert report.ok
+    assert {len(comp) for _, comp in opened} == {3, 4, 5}
+    lams = {tuple(sorted(comp, reverse=True)) for _, comp in opened}
+    assert lams == {lam for m in range(1, 6) for lam in _brute_force_shapes(m, partition=True) if len(lam) >= 3}
+    assert report.instances == sum(_hook_content_count(lam, 5) for lam in lams)
 
 
 def test_dominance_reports_a_path_that_disagrees_with_the_trace(monkeypatch):
@@ -347,7 +415,8 @@ def test_the_pool_gets_the_largest_units_first(monkeypatch, name):
     serial = run_property(name, 4, 4, jobs=1)
     pooled = run_property(name, 4, 4)
     assert asked == [2]
-    units = [(kind, s) for kind in prop.kinds for m in range(1, 5) for s in verify._SHAPES[kind](m)]
+    shapes = [s for m in range(5) for s in polynomials.partitions(m)]
+    units = [(kind, s) for kind in prop.kinds for s in shapes if s or kind == "schur"]
     assert sum(submitted[0][1]) == 4
     assert submitted == sorted(units, key=lambda unit: -sum(unit[1]))
     assert len(serial.counterexamples) >= len(units)
